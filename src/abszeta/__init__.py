@@ -1,12 +1,12 @@
 """Absolute zeta functions over F1 with exact symbolic algebra and a
 numerically cross-checked engine for gamma/sine functions of negative order.
 
-The exact layer represents counting functions as finite rational term
-maps, turns them into factored zeta power products and Hurwitz-type
-forms, and decides functional equations by pure factor-map algebra.  The
-numeric layer sums the defining series (with tail elimination), evaluates
-the independent integral representations, and provides the classical
-special functions needed to cross-check both against each other.
+The exact layer keeps counting functions, Hurwitz-type forms and zeta
+power products in one canonical rational term map, reads the named schemes
+from a single table, and decides functional equations by factor-map
+algebra.  The numeric layer sums the defining series (with tail
+elimination), evaluates the independent integral representations, and
+computes the classical Hurwitz zeta and log-gamma to cross-check both.
 """
 
 from __future__ import annotations

@@ -18,8 +18,10 @@ and insists the two factorizations agree before returning.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import counting as cf
 from .counting import CountingFunction
@@ -36,73 +38,70 @@ CUSTOM = "Custom"
 
 
 @dataclass(frozen=True)
+class SchemeKind:
+    """One row of the scheme table: the name's regex (group 1 is r) and
+    template, the least r (None: no r), and d(r) and periods(r), which give
+    N(u) = u^d * prod over the periods w of (1 - u^-w)."""
+
+    pattern: re.Pattern
+    template: str
+    min_r: int | None
+    dimension: Callable[[int | None], int]
+    periods: Callable[[int | None], tuple[int, ...]]
+
+
+SCHEMES: dict[str, SchemeKind] = {
+    SPEC_F1: SchemeKind(re.compile(r"SpecF1\Z"), "SpecF1", None, lambda r: 0, lambda r: ()),
+    GM: SchemeKind(re.compile(r"Gm\Z"), "Gm", None, lambda r: 1, lambda r: (1,)),
+    GM_TENSOR: SchemeKind(re.compile(r"Gm\^(\d+)\Z"), "Gm^{r}", 1,
+                          lambda r: r, lambda r: (1,) * r),
+    SL: SchemeKind(re.compile(r"SL\((\d+)\)\Z"), "SL({r})", 2,
+                   lambda r: r * r - 1, lambda r: tuple(range(2, r + 1))),
+    GL: SchemeKind(re.compile(r"GL\((\d+)\)\Z"), "GL({r})", 1,
+                   lambda r: r * r, lambda r: tuple(range(1, r + 1))),
+}
+
+
+@dataclass(frozen=True)
 class SchemeSpec:
     """A scheme the package knows how to count.
 
     ``r`` is the rank parameter for the parametric kinds (tensor power or
     matrix-group size); ``custom_counting`` carries the user-supplied
-    counting function for kind ``Custom``.
+    counting function for kind ``Custom``.  The rank is checked, and the
+    other properties are read, against the kind's row in :data:`SCHEMES`.
     """
 
     kind: str
     r: int | None = None
     custom_counting: CountingFunction | None = None
 
+    def __post_init__(self):
+        row = SCHEMES.get(self.kind)
+        if row and row.min_r is not None and (
+                not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < row.min_r):
+            raise ParameterRangeError(
+                f"{row.template.format(r='r')} needs an integer r >= {row.min_r}, got {self.r!r}")
+        object.__setattr__(self, "_row", row)
+
     @property
     def name(self) -> str:
-        if self.kind == SPEC_F1:
-            return "SpecF1"
-        if self.kind == GM:
-            return "Gm"
-        if self.kind == GM_TENSOR:
-            return f"Gm^{self.r}"
-        if self.kind == SL:
-            return f"SL({self.r})"
-        if self.kind == GL:
-            return f"GL({self.r})"
-        return "Custom"
+        return self._row.template.format(r=self.r) if self._row else "Custom"
 
     @property
     def dimension(self) -> int | None:
         """Dimension d (the top exponent of the counting function)."""
-        if self.kind == SPEC_F1:
-            return 0
-        if self.kind == GM:
-            return 1
-        if self.kind == GM_TENSOR:
-            return self.r
-        if self.kind == SL:
-            return self.r * self.r - 1
-        if self.kind == GL:
-            return self.r * self.r
-        return None
+        return self._row.dimension(self.r) if self._row else None
 
     @property
     def rank(self) -> int | None:
         """Number of periods (the order magnitude of the gamma factor)."""
-        if self.kind == SPEC_F1:
-            return 0
-        if self.kind == GM:
-            return 1
-        if self.kind == GM_TENSOR:
-            return self.r
-        if self.kind == SL:
-            return self.r - 1
-        if self.kind == GL:
-            return self.r
-        return None
+        return len(self._row.periods(self.r)) if self._row else None
 
     @property
     def periods(self) -> PeriodVector | None:
-        if self.kind == GM:
-            return PeriodVector((Fraction(1),))
-        if self.kind == GM_TENSOR:
-            return PeriodVector((Fraction(1),) * self.r)
-        if self.kind == SL:
-            return PeriodVector(tuple(Fraction(j) for j in range(2, self.r + 1)))
-        if self.kind == GL:
-            return PeriodVector(tuple(Fraction(j) for j in range(1, self.r + 1)))
-        return None
+        ws = self._row.periods(self.r) if self._row else ()
+        return PeriodVector(tuple(Fraction(w) for w in ws)) if ws else None
 
 
 def spec_f1() -> SchemeSpec:
@@ -114,21 +113,15 @@ def gm() -> SchemeSpec:
 
 
 def gm_tensor(r: int) -> SchemeSpec:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ParameterRangeError(f"Gm^r needs an integer r >= 1, got {r!r}")
-    return SchemeSpec(GM_TENSOR, r=r)
+    return SchemeSpec(GM_TENSOR, r)
 
 
 def sl(r: int) -> SchemeSpec:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 2:
-        raise ParameterRangeError(f"SL(r) needs an integer r >= 2, got {r!r}")
-    return SchemeSpec(SL, r=r)
+    return SchemeSpec(SL, r)
 
 
 def gl(r: int) -> SchemeSpec:
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ParameterRangeError(f"GL(r) needs an integer r >= 1, got {r!r}")
-    return SchemeSpec(GL, r=r)
+    return SchemeSpec(GL, r)
 
 
 def custom(n: CountingFunction) -> SchemeSpec:
@@ -136,23 +129,16 @@ def custom(n: CountingFunction) -> SchemeSpec:
 
 
 def counting_of(spec: SchemeSpec) -> CountingFunction:
-    """Counting function of a scheme from the catalog."""
-    if spec.kind == SPEC_F1:
-        return cf.ONE
-    if spec.kind == GM:
-        return cf.U_MINUS_ONE
-    if spec.kind == GM_TENSOR:
-        return cf.tensor_power(cf.U_MINUS_ONE, spec.r)
-    if spec.kind in (SL, GL):
-        d = spec.dimension
-        start = 1 if spec.kind == GL else 2
-        n = cf.normalize([(d, 1)])
-        for j in range(start, spec.r + 1):
-            n = cf.otimes(n, cf.normalize([(0, 1), (-j, -1)]))
-        return n
+    """Counting function of a scheme: u^d * prod over the periods of (1 - u^-w)."""
     if spec.kind == CUSTOM:
         return spec.custom_counting
-    raise ParameterRangeError(f"unknown scheme kind {spec.kind!r}")
+    row = SCHEMES.get(spec.kind)
+    if row is None:
+        raise ParameterRangeError(f"unknown scheme kind {spec.kind!r}")
+    n = cf.normalize([(row.dimension(spec.r), 1)])
+    for w in row.periods(spec.r):
+        n = cf.otimes(n, cf.normalize([(0, 1), (-w, -1)]))
+    return n
 
 
 def zeta_of_scheme(spec: SchemeSpec) -> PowerProduct:
@@ -181,7 +167,7 @@ def fe_params_of(spec: SchemeSpec) -> FEParams:
     The center is 2d - |w| (dimension d, total period |w|) and the sign is
     (-1)^rank; SpecF1 and Custom schemes have no equation on record.
     """
-    if spec.kind in (SPEC_F1, CUSTOM):
+    if spec.periods is None:
         raise NoFunctionalEquationError(f"no functional equation on record for {spec.name}")
     d = spec.dimension
     total = spec.periods.total()

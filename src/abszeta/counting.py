@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import DomainError, ParameterRangeError
-from .rationals import as_rational, qstr
+from .rationals import as_rational, canonical_terms, qstr, signed_sum
 
 TermPair = Tuple[Fraction, Fraction]
 
@@ -68,25 +68,17 @@ class CountingFunction:
 
     def __str__(self) -> str:
         """Render as an expression the package's parser accepts back."""
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for i, (a, m) in enumerate(self.terms):
-            if a == 0:
-                body = qstr(abs(m))
-            else:
-                if a == 1:
-                    upart = "u"
-                elif a.denominator == 1:
-                    upart = f"u^{a.numerator}"
-                else:
-                    upart = f"u^({qstr(a)})"
-                body = upart if abs(m) == 1 else f"{qstr(abs(m))}*{upart}"
-            if i == 0:
-                pieces.append(body if m > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if m > 0 else f"- {body}")
-        return " ".join(pieces)
+        return signed_sum(self.terms, _monomial)
+
+
+def _monomial(a: Fraction) -> str:
+    if a == 0:
+        return ""
+    if a == 1:
+        return "u"
+    if a.denominator == 1:
+        return f"u^{a.numerator}"
+    return f"u^({qstr(a)})"
 
 
 def normalize(raw_terms: Iterable[tuple[object, object]]) -> CountingFunction:
@@ -95,29 +87,17 @@ def normalize(raw_terms: Iterable[tuple[object, object]]) -> CountingFunction:
     Pairs with equal exponents are merged; zero multiplicities are dropped;
     the result is sorted by descending exponent.
     """
-    acc: dict[Fraction, Fraction] = {}
-    for a, m in raw_terms:
-        a = as_rational(a)
-        m = as_rational(m)
-        acc[a] = acc.get(a, Fraction(0)) + m
-    pairs = tuple(sorted(((a, m) for a, m in acc.items() if m != 0),
-                         key=lambda p: p[0], reverse=True))
-    return CountingFunction(pairs)
+    return CountingFunction(canonical_terms(raw_terms, descending=True))
 
 
 def oplus(n1: CountingFunction, n2: CountingFunction) -> CountingFunction:
     """Direct sum: pointwise addition of the term maps."""
-    return normalize(list(n1.terms) + list(n2.terms))
+    return normalize(n1.terms + n2.terms)
 
 
 def otimes(n1: CountingFunction, n2: CountingFunction) -> CountingFunction:
     """Tensor product: multiply the functions, i.e. convolve exponent maps."""
-    acc: dict[Fraction, Fraction] = {}
-    for a1, m1 in n1.terms:
-        for a2, m2 in n2.terms:
-            key = a1 + a2
-            acc[key] = acc.get(key, Fraction(0)) + m1 * m2
-    return normalize(acc.items())
+    return normalize((a1 + a2, m1 * m2) for a1, m1 in n1.terms for a2, m2 in n2.terms)
 
 
 def tensor_power(n: CountingFunction, r: int) -> CountingFunction:
@@ -137,12 +117,17 @@ def eval_at(n: CountingFunction, u: float) -> float:
         raise DomainError(f"counting functions are evaluated at finite u > 1, got u={u}")
     lu = math.log(u)
     total = 0.0
-    for a, m in n.terms:
-        if a.denominator == 1:
-            # integer powers directly: keeps e.g. 4^3 - 4 at exactly 60.0
-            total += float(m) * u ** a.numerator
-        else:
-            total += float(m) * math.exp(float(a) * lu)
+    try:
+        for a, m in n.terms:
+            if a.denominator == 1:
+                # integer powers directly: keeps e.g. 4^3 - 4 at exactly 60.0
+                total += float(m) * u ** a.numerator
+            else:
+                total += float(m) * math.exp(float(a) * lu)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"the value N(u) at u={u} must be finite, got {total}")
     return total
 
 

@@ -33,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count, islice
 
 import numpy as np
 
@@ -41,9 +42,17 @@ from .errors import (ConvergenceError, DomainError, ParameterRangeError, PoleErr
                      PreconditionError)
 from .quadrature import QuadSettings, exp_tail_cutoff, integrate
 from .rationals import as_rational
-from .special import BERNOULLI_EVEN, gamma as _gamma
 
-_FACTORIALS = {k: math.factorial(k) for k in range(13)}
+#: Even-index Bernoulli numbers B_2 .. B_12 (exact), used by the
+#: Euler-Maclaurin expansions and their truncation bounds.
+BERNOULLI_EVEN: dict[int, Fraction] = {
+    2: Fraction(1, 6),
+    4: Fraction(-1, 30),
+    6: Fraction(1, 42),
+    8: Fraction(-1, 30),
+    10: Fraction(5, 66),
+    12: Fraction(-691, 2730),
+}
 
 
 @dataclass(frozen=True)
@@ -82,20 +91,32 @@ def gen_binom(r, n: int):
 
     This is the coefficient of the n-th series term at order r, computed
     by the recurrence H_0 = 1, H_n = H_{n-1} * (r + n - 1) / n.  Exact
-    (Fraction) for int/Fraction r, floating point for float r.
+    (Fraction) for int/Fraction r, floating point (an array of n + 1) for
+    float r.
     """
     if n < 0:
         raise DomainError(f"term index must be >= 0, got {n}")
     if isinstance(r, float):
-        h = 1.0
-        for k in range(1, n + 1):
-            h *= (r + k - 1.0) / k
-        return h
-    r = as_rational(r)
-    h = Fraction(1)
-    for k in range(1, n + 1):
-        h *= Fraction(r + k - 1, k)
-    return h
+        return float(_coefficient_array(r, n + 1)[-1])
+    return next(islice(_exact_coefficients(as_rational(r)), n, None))
+
+
+def _exact_coefficients(r: Fraction):
+    """C(r + n - 1, n) for n = 0, 1, ... exactly, by the same recurrence."""
+    return accumulate(count(1), lambda h, n: h * Fraction(r + n - 1, n), initial=Fraction(1))
+
+
+def _coefficient_array(r: float, size: int) -> np.ndarray:
+    """C(r + n - 1, n) for n = 0 .. size-1 via a cumulative product.
+
+    For integer r each ratio is the correctly rounded quotient of integers.
+    """
+    idx = np.arange(size, dtype=float)
+    out = np.empty(size, dtype=float)
+    out[0] = 1.0
+    if size > 1:
+        out[1:] = np.cumprod((r + idx[1:] - 1.0) / idx[1:])
+    return out
 
 
 def _checkpoints(max_terms: int) -> list[int]:
@@ -152,22 +173,28 @@ def _accelerated_limit(partials, theta, tol: float, log_tail: bool = False,
     return full
 
 
-def _coefficient_array(r: float, count: int) -> np.ndarray:
-    """C(r + n - 1, n) for n = 0 .. count-1 via a cumulative product."""
-    idx = np.arange(count, dtype=float)
-    out = np.empty(count, dtype=float)
-    out[0] = 1.0
-    if count > 1:
-        out[1:] = np.cumprod((r + idx[1:] - 1.0) / idx[1:])
-    return out
+def _partial_sums(r: float, x: float, cfg: SeriesSettings, weight) -> list:
+    """Sums of C(n + r - 1, n) * weight(log(n + x)) over n below each checkpoint."""
+    cps = _checkpoints(cfg.max_terms)
+    logs = np.log(np.arange(cps[-1], dtype=float) + x)
+    csum = np.cumsum(_coefficient_array(r, cps[-1]) * weight(logs))
+    return [csum[c - 1].item() for c in cps]
+
+
+def _terminating_coefficients(k: int, cfg: SeriesSettings) -> list[float]:
+    """The -k + 1 coefficients of integer order k <= 0; all later ones vanish."""
+    if -k + 1 > cfg.max_terms:
+        raise ConvergenceError(
+            f"order {k} has {-k + 1} terms, above the cap of {cfg.max_terms}; raise max_terms")
+    return _coefficient_array(float(k), -k + 1).tolist()
 
 
 def zeta_series(r, w, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> complex:
     """zeta_r(w; x) = sum C(n + r - 1, n) (n + x)^(-w) for x > 0.
 
-    Integer order r <= 0 uses the terminating sum (any w).  Otherwise the
-    series requires Re(w) > r and is summed with tail elimination; a
-    ConvergenceError reports an unmet tolerance.
+    Integer order r <= 0 uses the terminating sum (any w) within the
+    max_terms cap.  Otherwise the series requires Re(w) > r and is summed
+    with tail elimination; a ConvergenceError reports an unmet tolerance.
     """
     x = float(x)
     if not x > 0.0:
@@ -176,22 +203,15 @@ def zeta_series(r, w, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> complex
     k = _integer_order(r)
     if k is not None and k <= 0:
         total = 0j
-        h = 1.0
-        for n in range(-k + 1):
+        for n, h in enumerate(_terminating_coefficients(k, cfg)):
             total += h * cmath.exp(-w * math.log(n + x))
-            h *= (k + n) / (n + 1)  # next coefficient: H_{n+1} = H_n (r + n)/(n + 1)
         return total
     rf = float(r)
     theta = w - rf
     if not theta.real > 0.0:
         raise DomainError(
             f"series of order {rf} diverges when Re(w) <= {rf}, got w={w}")
-    cps = _checkpoints(cfg.max_terms)
-    coeffs = _coefficient_array(rf, cps[-1])
-    logs = np.log(np.arange(cps[-1], dtype=float) + x)
-    terms = coeffs * np.exp(-w * logs)
-    csum = np.cumsum(terms)
-    partials = [complex(csum[c - 1]) for c in cps]
+    partials = _partial_sums(rf, x, cfg, lambda logs: np.exp(-w * logs))
     value = _accelerated_limit(partials, theta, cfg.tol,
                                what=f"series of order {rf} at w={w}, x={x}")
     return complex(value)
@@ -209,8 +229,8 @@ def zeta_series_exact(r: int, w: int, x) -> Fraction:
     if not x > 0:
         raise DomainError(f"series needs x > 0, got x={x}")
     total = Fraction(0)
-    for n in range(-k + 1):
-        total += gen_binom(Fraction(k), n) * (n + x) ** (-w)
+    for n, h in zip(range(-k + 1), _exact_coefficients(Fraction(k))):
+        total += h * (n + x) ** (-w)
     return total
 
 
@@ -231,11 +251,11 @@ def raw_tail_bound(r, w_re: float, x: float, n_terms: int) -> float:
     if k is not None and k <= 0:
         if n_terms > -k:
             return 0.0
-        r = float(k)
     rf = float(r)
     if not w_re > rf:
         raise DomainError(f"tail bound needs Re(w) > {rf}, got {w_re}")
-    envelope = max(abs(gen_binom(rf, n)) * n ** (1.0 - rf) for n in range(1, 65))
+    coeffs = _coefficient_array(rf, 65).tolist()
+    envelope = max(abs(coeffs[n]) * n ** (1.0 - rf) for n in range(1, 65))
     shift_factor = max(1.0, (1.0 + x) ** (-w_re))
     return 1.05 * envelope * shift_factor * (n_terms - 1.0) ** (rf - w_re) / (w_re - rf)
 
@@ -244,9 +264,9 @@ def gamma_series(r, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:
     """Gamma function of order r < 0 at x > 0 from the log-weighted series.
 
     log Gamma_r(x) = -sum C(n + r - 1, n) log(n + x): a finite sum for
-    integer order, otherwise accelerated like the zeta series but with a
-    log-carrying tail (each tail power is eliminated twice).  The
-    tolerance applies to the log value.
+    integer order (within the max_terms cap), otherwise accelerated like
+    the zeta series but with a log-carrying tail (each tail power is
+    eliminated twice).  The tolerance applies to the log value.
     """
     x = float(x)
     if not x > 0.0:
@@ -256,19 +276,13 @@ def gamma_series(r, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:
         if k >= 0:
             raise DomainError(f"order must be negative, got {r!r}")
         log_value = 0.0
-        h = 1.0
-        for n in range(-k + 1):
+        for n, h in enumerate(_terminating_coefficients(k, cfg)):
             log_value -= h * math.log(n + x)
-            h *= (k + n) / (n + 1)
         return math.exp(log_value)
     rf = float(r)
     if not rf < 0.0:
         raise DomainError(f"order must be negative, got {r!r}")
-    cps = _checkpoints(cfg.max_terms)
-    coeffs = _coefficient_array(rf, cps[-1])
-    logs = np.log(np.arange(cps[-1], dtype=float) + x)
-    csum = np.cumsum(coeffs * logs)
-    partials = [float(csum[c - 1]) for c in cps]
+    partials = _partial_sums(rf, x, cfg, lambda logs: logs)
     weighted = _accelerated_limit(partials, -rf, cfg.tol, log_tail=True,
                                   what=f"gamma series of order {rf} at x={x}")
     return math.exp(-weighted)
@@ -325,7 +339,7 @@ def monomial_kernel_check(alpha, s: float, w: float,
         raise DomainError(f"kernel integral needs s > alpha, got s - alpha = {a}")
     if not w > 0.0:
         raise DomainError(f"kernel integral needs w > 0, got w={w}")
-    gw = _gamma(w)
+    gw = math.gamma(w)
     budget = cfg.tol * gw
 
     def direct(t: float) -> float:
@@ -373,7 +387,7 @@ def log_zeta_integral(n: CountingFunction, s: float,
         raise DomainError(f"needs s above the top exponent {amax}, got s={s}")
     pairs = [(float(a), float(m)) for a, m in n.terms]
     # Taylor moments of sum m e^(a t) for the t -> 0 limit of the kernel.
-    moments = [sum(m * a ** k for a, m in pairs) / _FACTORIALS[k] for k in range(1, 6)]
+    moments = [sum(m * a ** k for a, m in pairs) / math.factorial(k) for k in range(1, 6)]
 
     def kernel(t: float) -> float:
         if t < 1e-4:
@@ -480,7 +494,7 @@ def classical_hurwitz(w: float, x: float) -> float:
     n_sum = n_start
     while True:
         y = n_sum + x
-        omitted = abs(float(BERNOULLI_EVEN[12]) / _FACTORIALS[12]
+        omitted = abs(float(BERNOULLI_EVEN[12]) / math.factorial(12)
                       * _pochhammer(w, 11)) * y ** (-w - 11.0)
         if omitted < 1e-12:
             break
@@ -492,7 +506,7 @@ def classical_hurwitz(w: float, x: float) -> float:
     total = sum((i + x) ** (-w) for i in range(n_sum))
     total += y ** (1.0 - w) / (w - 1.0) + 0.5 * y ** (-w)
     for k in range(1, 6):
-        total += (float(BERNOULLI_EVEN[2 * k]) / _FACTORIALS[2 * k]
+        total += (float(BERNOULLI_EVEN[2 * k]) / math.factorial(2 * k)
                   * _pochhammer(w, 2 * k - 1) * y ** (-w - 2 * k + 1.0))
     return total
 

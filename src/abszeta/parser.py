@@ -21,12 +21,11 @@ expansion.  A Unicode minus sign is accepted as '-'.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import counting as cf
-from .catalog import SchemeSpec, gl, gm, gm_tensor, sl, spec_f1
+from .catalog import SCHEMES, SchemeSpec
 from .counting import CountingFunction
 from .errors import ParseError, UnknownSchemeError
 
@@ -188,10 +187,7 @@ class _Parser:
                 exp_offset)
         if k == 0:
             return cf.ONE
-        result = base
-        for _ in range(k - 1):
-            result = cf.otimes(result, base)
-        return result
+        return cf.tensor_power(base, k)
 
     def _base(self) -> tuple[CountingFunction, bool]:
         tok = self._next()
@@ -236,15 +232,6 @@ def parse_expr(text: str) -> CountingFunction:
     return _Parser(text).parse()
 
 
-_SCHEME_PATTERNS = (
-    (re.compile(r"SpecF1\Z"), lambda m: spec_f1()),
-    (re.compile(r"Gm\Z"), lambda m: gm()),
-    (re.compile(r"Gm\^(\d+)\Z"), lambda m: gm_tensor(int(m.group(1)))),
-    (re.compile(r"SL\((\d+)\)\Z"), lambda m: sl(int(m.group(1)))),
-    (re.compile(r"GL\((\d+)\)\Z"), lambda m: gl(int(m.group(1)))),
-)
-
-
 def parse_scheme(text: str) -> SchemeSpec:
     """Parse a scheme name: SpecF1, Gm, Gm^r, SL(r), or GL(r).
 
@@ -256,8 +243,8 @@ def parse_scheme(text: str) -> SchemeSpec:
     name = text.strip()
     if not name:
         raise UnknownSchemeError("empty scheme name", 0)
-    for pattern, build in _SCHEME_PATTERNS:
-        m = pattern.match(name)
+    for kind, row in SCHEMES.items():
+        m = row.pattern.match(name)
         if m:
-            return build(m)
+            return SchemeSpec(kind, *(int(g) for g in m.groups()))
     raise UnknownSchemeError(f"unknown scheme name {name!r}", 0)

@@ -1,4 +1,4 @@
-"""Exact rational scalars and their canonical string form.
+"""Exact rational scalars, finite rational maps, and their canonical forms.
 
 All symbolic data in this package (exponents, multiplicities, roots,
 shifts) is kept as `fractions.Fraction` so algebraic identities hold
@@ -10,6 +10,7 @@ layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 Rational = Fraction
 
@@ -34,3 +35,28 @@ def qstr(value: int | str | Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def canonical_terms(pairs: Iterable[tuple[object, object]],
+                    descending: bool) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Canonical form of a finite rational map, given as (key, value) pairs:
+    values of equal keys added, zeros dropped, sorted by key."""
+    acc: dict[Fraction, Fraction] = {}
+    for k, v in pairs:
+        k, v = as_rational(k), as_rational(v)
+        acc[k] = acc[k] + v if k in acc else v
+    return tuple(sorted(((k, v) for k, v in acc.items() if v != 0),
+                        key=lambda p: p[0], reverse=descending))
+
+
+def signed_sum(terms: Iterable[tuple[Fraction, Fraction]], base) -> str:
+    """Print (key, coefficient) terms as ``c0*b0 + b1 - c2*b2 ...``, where
+    ``base(key)`` renders a factor ("" for none); unit coefficients are left out."""
+    pieces: list[str] = []
+    for k, m in terms:
+        c = abs(m)
+        b = base(k)
+        body = qstr(c) if not b else b if c == 1 else f"{qstr(c)}*{b}"
+        sign = ("" if m > 0 else "-") if not pieces else ("+ " if m > 0 else "- ")
+        pieces.append(sign + body)
+    return " ".join(pieces) or "0"

@@ -13,6 +13,7 @@ exactly by comparing factor maps -- no floating point is involved.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from typing import Iterable, Tuple
 
 from .counting import CountingFunction
 from .errors import BranchCutWarning, DomainError, PoleError, PreconditionError
-from .rationals import as_rational, qstr
+from .rationals import as_rational, canonical_terms, qstr, signed_sum
 
 ShiftPair = Tuple[Fraction, Fraction]
 FactorPair = Tuple[Fraction, Fraction]
@@ -54,17 +55,7 @@ class HurwitzForm:
         return tuple(a for a, _ in self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for i, (a, m) in enumerate(self.terms):
-            base = f"{_paren(self.variable, a)}^-w"
-            body = base if abs(m) == 1 else f"{qstr(abs(m))}*{base}"
-            if i == 0:
-                pieces.append(body if m > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if m > 0 else f"- {body}")
-        return " ".join(pieces)
+        return signed_sum(self.terms, lambda a: f"{_paren(self.variable, a)}^-w")
 
 
 @dataclass(frozen=True)
@@ -96,8 +87,6 @@ class PowerProduct:
     def pow_int(self, k: int) -> "PowerProduct":
         if not isinstance(k, int) or isinstance(k, bool):
             raise TypeError("integer power expected")
-        if k == 0:
-            return PowerProduct((), self.variable)
         return normalize_power_product(((r, k * e) for r, e in self.factors), self.variable)
 
     def times(self, other: "PowerProduct") -> "PowerProduct":
@@ -150,43 +139,27 @@ class FEReport:
 
 def normalize_hurwitz(pairs: Iterable[tuple[object, object]], variable: str = "s") -> HurwitzForm:
     """Canonicalize (shift, coeff) pairs: merge, drop zeros, sort descending."""
-    acc: dict[Fraction, Fraction] = {}
-    for a, m in pairs:
-        a = as_rational(a)
-        m = as_rational(m)
-        acc[a] = acc.get(a, Fraction(0)) + m
-    ordered = tuple(sorted(((a, m) for a, m in acc.items() if m != 0),
-                           key=lambda p: p[0], reverse=True))
-    return HurwitzForm(ordered, variable)
+    return HurwitzForm(canonical_terms(pairs, descending=True), variable)
 
 
 def normalize_power_product(pairs: Iterable[tuple[object, object]], variable: str = "s") -> PowerProduct:
     """Canonicalize (root, exponent) pairs: merge, drop zeros, sort ascending."""
-    acc: dict[Fraction, Fraction] = {}
-    for r, e in pairs:
-        r = as_rational(r)
-        e = as_rational(e)
-        acc[r] = acc.get(r, Fraction(0)) + e
-    ordered = tuple(sorted(((r, e) for r, e in acc.items() if e != 0),
-                           key=lambda p: p[0]))
-    return PowerProduct(ordered, variable)
+    return PowerProduct(canonical_terms(pairs, descending=False), variable)
 
 
 def hurwitz_of(n: CountingFunction, variable: str = "s") -> HurwitzForm:
     """Hurwitz-type form of a counting function: shift a gets coefficient m(a)."""
-    return normalize_hurwitz(n.terms, variable)
+    return HurwitzForm(n.terms, variable)
 
 
 def zeta_of(n: CountingFunction, variable: str = "s") -> PowerProduct:
     """Absolute zeta of a counting function: root a gets exponent -m(a)."""
-    return normalize_power_product(((a, -m) for a, m in n.terms), variable)
+    return PowerProduct(tuple((a, -m) for a, m in reversed(n.terms)), variable)
 
 
 def counting_of_product(p: PowerProduct) -> CountingFunction:
     """Inverse of :func:`zeta_of`: recover the counting function from a product."""
-    from .counting import normalize as _normalize_counting
-
-    return _normalize_counting((r, -e) for r, e in p.factors)
+    return CountingFunction(tuple((r, -e) for r, e in reversed(p.factors)))
 
 
 def _finite_complex(value, what: str) -> complex:
@@ -201,12 +174,15 @@ def eval_hurwitz(z: HurwitzForm, w: complex, s: complex) -> complex:
     w = _finite_complex(w, "order w")
     s = _finite_complex(s, "argument s")
     total = 0j
-    for a, m in z.terms:
-        d = s - complex(float(a))
-        if d == 0:
-            raise PoleError(f"evaluation point {s} coincides with shift {qstr(a)}")
-        total += float(m) * cmath.exp(-w * cmath.log(d))
-    return total
+    try:
+        for a, m in z.terms:
+            d = s - complex(float(a))
+            if d == 0:
+                raise PoleError(f"evaluation point {s} coincides with shift {qstr(a)}")
+            total += float(m) * cmath.exp(-w * cmath.log(d))
+    except OverflowError:
+        total = complex(math.inf)
+    return _finite_complex(total, f"the Hurwitz form's value at w={w}, s={s}")
 
 
 def eval_hurwitz_exact(z: HurwitzForm, w: int, x) -> Fraction:
@@ -233,26 +209,34 @@ def eval_power_product(p: PowerProduct, s: complex) -> complex:
     Raises :class:`PoleError` when s hits a root with negative exponent;
     returns 0 when it hits a root with positive exponent.  Emits
     :class:`BranchCutWarning` when a non-integer power is taken of a
-    negative real number (the principal branch is used regardless).
+    negative real number (the principal branch is used regardless).  At a
+    real point with integer exponents the value is real, with its sign
+    counted exactly; a value beyond the float range raises DomainError.
     """
     s = _finite_complex(s, "argument s")
-    zero_hit = False
-    log_sum = 0j
-    for r, e in p.factors:
-        d = s - complex(float(r))
-        if d == 0:
-            if e < 0:
-                raise PoleError(f"evaluation point {s} is a pole at root {qstr(r)}")
-            zero_hit = True
-            continue
-        if e.denominator != 1 and d.imag == 0 and d.real < 0:
-            warnings.warn(
-                f"non-integer power {qstr(e)} of negative real value {d.real}; "
-                "using the principal branch", BranchCutWarning, stacklevel=2)
-        log_sum += float(e) * cmath.log(d)
-    if zero_hit:
-        return 0j
-    return cmath.exp(log_sum)
+    real = s.imag == 0 and all(e.denominator == 1 for _, e in p.factors)
+    sign, log_sum, zero_hit = 1.0, 0j, False
+    try:
+        for r, e in p.factors:
+            d = s - complex(float(r))
+            if d == 0:
+                if e < 0:
+                    raise PoleError(f"evaluation point {s} is a pole at root {qstr(r)}")
+                zero_hit = True
+                continue
+            if e.denominator != 1 and d.imag == 0 and d.real < 0:
+                warnings.warn(
+                    f"non-integer power {qstr(e)} of negative real value {d.real}; "
+                    "using the principal branch", BranchCutWarning, stacklevel=2)
+            if real and d.real < 0 and e.numerator % 2:
+                sign = -sign
+            log_sum += float(e) * cmath.log(d)
+        if zero_hit:
+            return 0j
+        value = complex(sign * math.exp(log_sum.real)) if real else cmath.exp(log_sum)
+    except OverflowError:
+        value = complex(math.inf)
+    return _finite_complex(value, f"the power product's value at s={s}")
 
 
 def log_derivative_at_zero(z: HurwitzForm, s: complex) -> complex:
@@ -271,6 +255,13 @@ def log_derivative_at_zero(z: HurwitzForm, s: complex) -> complex:
     return total
 
 
+def _require_integer_exponents(p: PowerProduct, what: str) -> None:
+    for r, e in p.factors:
+        if e.denominator != 1:
+            raise PreconditionError(
+                f"{what} needs integer exponents, found {qstr(e)} at root {qstr(r)}")
+
+
 def reflected(p: PowerProduct, center) -> tuple[PowerProduct, int]:
     """Rewrite P(center - s) as sign * Q(s) with Q a power product in s.
 
@@ -279,10 +270,7 @@ def reflected(p: PowerProduct, center) -> tuple[PowerProduct, int]:
     returned sign is (-1) to the exponent sum.
     """
     center = as_rational(center)
-    for r, e in p.factors:
-        if e.denominator != 1:
-            raise PreconditionError(
-                f"reflection needs integer exponents, found {qstr(e)} at root {qstr(r)}")
+    _require_integer_exponents(p, "reflection")
     q = normalize_power_product(((center - r, e) for r, e in p.factors), p.variable)
     sign = -1 if p.exponent_sum() % 2 else 1
     return q, sign
@@ -296,10 +284,7 @@ def check_functional_equation(p: PowerProduct, fe: FEParams) -> FEReport:
     the exponent sum is even (an odd sum would flip the overall sign of
     the reflected product).  Requires integer exponents.
     """
-    for r, e in p.factors:
-        if e.denominator != 1:
-            raise PreconditionError(
-                f"functional-equation check needs integer exponents, found {qstr(e)} at root {qstr(r)}")
+    _require_integer_exponents(p, "functional-equation check")
     original = p.factor_map()
     transformed = {fe.center - r: fe.sign * e for r, e in p.factors}
     mismatches = []

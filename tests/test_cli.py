@@ -8,6 +8,8 @@ Claims covered:
   identical documents for every catalog scheme;
 - text outputs round-trip through the expression parser where they are
   defined to be parseable;
+- golden bytes: the catalog listing and, for one scheme of each kind,
+  counting/zeta/check fe text and the rank-error messages;
 - exit codes: 0 success, 1 usage, 2 parse, 3 domain, 4 convergence,
   with a single diagnostic line (plus a JSON error document under
   --json) on the error stream.
@@ -16,10 +18,15 @@ Claims covered:
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import abszeta
 import abszeta.catalog as cat
 from abszeta.parser import parse_expr
 from conftest import run_cli
@@ -201,6 +208,14 @@ def test_gamma_default_method_for_fractional_order_is_series():
     assert float(out) == pytest.approx(4.959982653983067, rel=1e-8)
 
 
+def test_gamma_product_real_at_negative_x():
+    # the factors' logs carry multiples of i*pi; the real value has none
+    code, out, _ = run_cli("gamma", "--order=-3", "--x=-1.5")
+    assert code == 0
+    assert "j" not in out
+    assert abs(float(out) - 1.0) <= 1e-15
+
+
 def test_gamma_multiperiod_product():
     code, out, _ = run_cli("gamma", "--order", "-2", "--periods", "1,2")
     assert (code, out) == (0, "(x+3)^-1 * (x+2)^1 * (x+1)^1 * x^-1\n")
@@ -278,6 +293,73 @@ def test_version_and_help_exit_zero():
 
 
 # ---------------------------------------------------------------------------
+# golden output: exact bytes, one scheme of each catalog kind
+
+CATALOG_TEXT = """\
+name      dim rank  periods
+SpecF1      0    0  -
+Gm          1    1  (1)
+Gm^2        2    2  (1,1)
+Gm^3        3    3  (1,1,1)
+SL(2)       3    1  (2)
+SL(3)       8    2  (2,3)
+SL(4)      15    3  (2,3,4)
+GL(1)       1    1  (1)
+GL(2)       4    2  (1,2)
+GL(3)       9    3  (1,2,3)
+"""
+
+CATALOG_JSON = (
+    '{"kind":"catalog","schemes":['
+    '{"name":"SpecF1","dimension":0,"rank":0,"periods":[]},'
+    '{"name":"Gm","dimension":1,"rank":1,"periods":["1"]},'
+    '{"name":"Gm^2","dimension":2,"rank":2,"periods":["1","1"]},'
+    '{"name":"Gm^3","dimension":3,"rank":3,"periods":["1","1","1"]},'
+    '{"name":"SL(2)","dimension":3,"rank":1,"periods":["2"]},'
+    '{"name":"SL(3)","dimension":8,"rank":2,"periods":["2","3"]},'
+    '{"name":"SL(4)","dimension":15,"rank":3,"periods":["2","3","4"]},'
+    '{"name":"GL(1)","dimension":1,"rank":1,"periods":["1"]},'
+    '{"name":"GL(2)","dimension":4,"rank":2,"periods":["1","2"]},'
+    '{"name":"GL(3)","dimension":9,"rank":3,"periods":["1","2","3"]}]}\n')
+
+FE_TEXT = "holds: true\ncenter: {}\nsign: {}\nparity sum: 0\n"
+NO_FE = "abszeta: error: no functional equation on record for SpecF1\n"
+
+
+GOLDEN = [
+    (("catalog",), 0, CATALOG_TEXT, ""),
+    (("catalog", "--json"), 0, CATALOG_JSON, ""),
+    (("counting", "--scheme", "SpecF1"), 0, "1\n", ""),
+    (("zeta", "--scheme", "SpecF1"), 0, "s^-1\n", ""),
+    (("check", "fe", "--scheme", "SpecF1"), 3, "", NO_FE),
+    (("counting", "--scheme", "Gm"), 0, "u - 1\n", ""),
+    (("zeta", "--scheme", "Gm"), 0, "s^1 * (s-1)^-1\n", ""),
+    (("check", "fe", "--scheme", "Gm"), 0, FE_TEXT.format(1, -1), ""),
+    (("counting", "--scheme", "Gm^3"), 0, "u^3 - 3*u^2 + 3*u - 1\n", ""),
+    (("zeta", "--scheme", "Gm^3"), 0, "s^1 * (s-1)^-3 * (s-2)^3 * (s-3)^-1\n", ""),
+    (("check", "fe", "--scheme", "Gm^3"), 0, FE_TEXT.format(3, -1), ""),
+    (("counting", "--scheme", "SL(3)"), 0, "u^8 - u^6 - u^5 + u^3\n", ""),
+    (("zeta", "--scheme", "SL(3)"), 0, "(s-3)^-1 * (s-5)^1 * (s-6)^1 * (s-8)^-1\n", ""),
+    (("check", "fe", "--scheme", "SL(3)"), 0, FE_TEXT.format(11, "+1"), ""),
+    (("counting", "--scheme", "GL(3)"), 0, "u^9 - u^8 - u^7 + u^5 + u^4 - u^3\n", ""),
+    (("zeta", "--scheme", "GL(3)"), 0,
+     "(s-3)^1 * (s-4)^-1 * (s-5)^-1 * (s-7)^1 * (s-8)^1 * (s-9)^-1\n", ""),
+    (("check", "fe", "--scheme", "GL(3)"), 0, FE_TEXT.format(12, -1), ""),
+    (("zeta", "--scheme", "SL(1)"), 3, "",
+     "abszeta: error: SL(r) needs an integer r >= 2, got 1\n"),
+    (("zeta", "--scheme", "GL(0)"), 3, "",
+     "abszeta: error: GL(r) needs an integer r >= 1, got 0\n"),
+    (("zeta", "--scheme", "Gm^0"), 3, "",
+     "abszeta: error: Gm^r needs an integer r >= 1, got 0\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_output(argv, code, out, err):
+    assert run_cli(*argv) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
 # exit codes and error stream
 
 @pytest.mark.parametrize("argv,code", [
@@ -294,10 +376,17 @@ def test_version_and_help_exit_zero():
     (("check", "thm2", "--r", "-2"), 3),                   # integer order
     (("check", "reflection", "--s", "1"), 3),              # pole
     (("gamma", "--order", "-1/2", "--x", "1", "--tol", "1e-18"), 4),
+    # values beyond the float range
+    (("eval", "--expr", "u^2000", "--u", "10"), 3),
+    (("eval", "--expr", "u^(4001/2)", "--u", "10"), 3),
+    (("eval", "--expr", "1000000000000*u^1023", "--u", "2"), 3),
+    (("hurwitz", "--expr", "u", "--w=-400", "--s", "1e10"), 3),
+    (("gamma", "--order", "-1", "--x", "1e-320"), 3),
 ])
 def test_exit_codes(argv, code):
     got, out, err = run_cli(*argv)
     assert got == code
+    assert "Traceback" not in err
     if code in (2, 3, 4):
         assert out == ""
         assert err.startswith("abszeta: error:")
@@ -320,12 +409,13 @@ def test_number_formatting_avoids_negative_zero():
 
 
 def test_console_script_entry_point():
-    import shutil
-    import subprocess
+    """A real process: the installed script, else the module's own entry point."""
     exe = shutil.which("abszeta")
-    if exe is None:
-        pytest.skip("console script not on PATH (package not installed)")
-    proc = subprocess.run([exe, "zeta", "--scheme", "SL(2)"],
-                          capture_output=True, text=True, timeout=60)
+    cmd = [exe] if exe else [sys.executable, "-m", "abszeta.cli"]
+    src = os.path.dirname(os.path.dirname(abszeta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(cmd + ["zeta", "--scheme", "SL(2)"],
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "(s-1)^1 * (s-3)^-1\n"

@@ -10,7 +10,8 @@ independent anchors.
 
 Claims covered:
 - generalized binomial coefficients: exact values, termination for
-  negative integer order, the n^(r-1) envelope;
+  negative integer order, the n^(r-1) envelope, the vectorized float
+  recurrence equal bit for bit to a scalar loop;
 - zeta series: terminating exact path, accelerated path vs FROZEN
   values, agreement with the classical Hurwitz routine at order 1,
   conjugate symmetry in w, honest ConvergenceError when starved;
@@ -20,7 +21,8 @@ Claims covered:
   log of the factored product;
 - classical Hurwitz zeta: FROZEN values, exact Bernoulli-polynomial
   values at non-positive integer w, recurrence property;
-- normalized log-gamma and the reflection identity vs libm.
+- normalized log-gamma and the reflection identity vs libm;
+- the tabulated even-index Bernoulli numbers are the exact rationals.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from abszeta.errors import (ConvergenceError, DomainError, ParameterRangeError,
                             PoleError, PreconditionError)
 from abszeta.gammasine import neg_gamma, neg_zeta_terms
 from abszeta.numerics import (
+    BERNOULLI_EVEN,
     SeriesSettings,
+    _coefficient_array,
     binomial_identity_sum,
     classical_hurwitz,
     euler_reflection_check,
@@ -116,6 +120,28 @@ def test_gen_binom_float_matches_exact():
 def test_gen_binom_rejects_negative_index():
     with pytest.raises(DomainError):
         gen_binom(F(1, 2), -1)
+
+
+def test_coefficient_array_matches_scalar_recurrence_bitwise():
+    """The vectorized recurrence reproduces the scalar loops bit for bit:
+    (r + n - 1.0) / n for float r, and exact-integer quotients for integer r."""
+    for r in list(range(-60, 4)) + [-2.5, -0.3, 0.7]:
+        h, expected = 1.0, []
+        for n in range(1, 81):
+            expected.append(h)
+            h *= (r + n - 1) / n if isinstance(r, int) else (r + n - 1.0) / n
+        r = float(r)
+        assert _coefficient_array(r, 80).tolist() == expected
+        assert [gen_binom(r, n) for n in (0, 1, 7, 79)] == [expected[n] for n in (0, 1, 7, 79)]
+
+
+def test_terminating_series_respects_term_cap():
+    cfg = SeriesSettings(max_terms=10)
+    assert zeta_series(-9, 2.0, 1.0, cfg) == zeta_series(-9, 2.0, 1.0)
+    with pytest.raises(ConvergenceError):
+        zeta_series(-10, 2.0, 1.0, cfg)
+    with pytest.raises(ConvergenceError):
+        gamma_series(-10, 1.0, cfg)
 
 
 @settings(max_examples=60)
@@ -446,3 +472,10 @@ def test_euler_reflection_identity(s):
 def test_euler_reflection_poles(s):
     with pytest.raises(DomainError):
         euler_reflection_check(s)
+
+
+def test_bernoulli_table_is_exact():
+    assert BERNOULLI_EVEN == {
+        2: F(1, 6), 4: F(-1, 30), 6: F(1, 42),
+        8: F(-1, 30), 10: F(5, 66), 12: F(-691, 2730),
+    }
