@@ -34,14 +34,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .counting import CountingFunction
 from .errors import (ConvergenceError, DomainError, ParameterRangeError, PoleError,
                      PreconditionError)
 from .quadrature import QuadSettings, exp_tail_cutoff, integrate
 from .rationals import as_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Even-index Bernoulli numbers B_2 .. B_12 (exact), used by the
 #: Euler-Maclaurin expansions and their truncation bounds.
@@ -111,6 +113,8 @@ def _coefficient_array(r: float, size: int) -> np.ndarray:
 
     For integer r each ratio is the correctly rounded quotient of integers.
     """
+    import numpy as np  # only the series routes pay for numpy
+
     idx = np.arange(size, dtype=float)
     out = np.empty(size, dtype=float)
     out[0] = 1.0
@@ -175,6 +179,8 @@ def _accelerated_limit(partials, theta, tol: float, log_tail: bool = False,
 
 def _partial_sums(r: float, x: float, cfg: SeriesSettings, weight) -> list:
     """Sums of C(n + r - 1, n) * weight(log(n + x)) over n below each checkpoint."""
+    import numpy as np
+
     cps = _checkpoints(cfg.max_terms)
     logs = np.log(np.arange(cps[-1], dtype=float) + x)
     csum = np.cumsum(_coefficient_array(r, cps[-1]) * weight(logs))
@@ -211,6 +217,8 @@ def zeta_series(r, w, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> complex
     if not theta.real > 0.0:
         raise DomainError(
             f"series of order {rf} diverges when Re(w) <= {rf}, got w={w}")
+    import numpy as np
+
     partials = _partial_sums(rf, x, cfg, lambda logs: np.exp(-w * logs))
     value = _accelerated_limit(partials, theta, cfg.tol,
                                what=f"series of order {rf} at w={w}, x={x}")
@@ -293,9 +301,10 @@ def gamma_integral(r, x: float, cfg: QuadSettings = DEFAULT_QUAD) -> float:
 
     log Gamma_r(x) = integral over t in (0, inf) of
     (1 - e^(-t))^(-r) e^(-x t) / t.  The integrand behaves like t^(-r-1)
-    at 0: for -r < 1 the substitution t = tau^(1/(-r)) flattens the
-    singular endpoint; the infinite range is cut at T with the dropped
-    tail below a tenth of the budget.
+    at 0: on the head [0, 1] the substitution t = v^p with
+    p = max(2, -2/r) leaves only powers v^e with e >= 1 there, which the
+    Gauss-Kronrod rule integrates in a few panels; the infinite range is
+    cut at T with the dropped tail below a tenth of the budget.
     """
     rf = float(r)
     x = float(x)
@@ -307,23 +316,24 @@ def gamma_integral(r, x: float, cfg: QuadSettings = DEFAULT_QUAD) -> float:
     tol = cfg.tol
     T = cfg.truncation_T if cfg.truncation_T is not None else exp_tail_cutoff(x, 1.0, tol)
     T = max(T, 2.0)
+    p = max(2.0, 2.0 / a)
 
-    def direct(t: float) -> float:
-        if t <= 0.0:
-            return 1.0 if a == 1.0 else 0.0
+    def head(v: float) -> float:
+        # (1-e^-t)^a e^(-xt) / t dt = p v^(pa-1) ((1-e^-t)/t)^a e^(-xt) dv
+        t = v ** p
+        ratio = -math.expm1(-t) / t if t > 0.0 else 1.0
+        return p * v ** (p * a - 1.0) * ratio ** a * math.exp(-x * t)
+
+    def tail(t: float) -> float:
         return (-math.expm1(-t)) ** a * math.exp(-x * t) / t
 
-    def flattened(tau: float) -> float:
-        # t = tau^(1/a); integrand times dt/dtau equals ((1-e^-t)/t)^a e^(-xt)/a.
-        if tau <= 0.0:
-            return 1.0 / a
-        t = tau ** (1.0 / a)
-        return ((-math.expm1(-t)) / t) ** a * math.exp(-x * t) / a
-
-    head = flattened if a < 1.0 else direct
     log_value = integrate(head, 0.0, 1.0, tol / 4.0, cfg.max_subdivisions)
-    log_value += integrate(direct, 1.0, T, tol / 4.0, cfg.max_subdivisions)
-    return math.exp(log_value)
+    log_value += integrate(tail, 1.0, T, tol / 4.0, cfg.max_subdivisions)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"gamma of order {rf} at x={x} is beyond the float range "
+                          f"(log value {log_value:.6g})") from None
 
 
 def monomial_kernel_check(alpha, s: float, w: float,
@@ -331,7 +341,8 @@ def monomial_kernel_check(alpha, s: float, w: float,
     """Evaluate Gamma(w)^(-1) * integral of e^(-(s - alpha) t) t^(w - 1) dt.
 
     The result must equal (s - alpha)^(-w); requires s > alpha and w > 0.
-    For w < 1 the singular endpoint is flattened by t = tau^(1/w).
+    On the head [0, 1] the substitution t = v^p with p = max(2, 2/w)
+    smooths the t^(w-1) endpoint, as in :func:`gamma_integral`.
     """
     a = float(s) - float(alpha)
     w = float(w)
@@ -341,17 +352,14 @@ def monomial_kernel_check(alpha, s: float, w: float,
         raise DomainError(f"kernel integral needs w > 0, got w={w}")
     gw = math.gamma(w)
     budget = cfg.tol * gw
+    p = max(2.0, 2.0 / w)
 
-    def direct(t: float) -> float:
-        if t <= 0.0:
-            return 1.0 if w == 1.0 else 0.0
+    def head(v: float) -> float:
+        # e^(-a t) t^(w-1) dt = p v^(pw-1) e^(-a v^p) dv
+        return p * v ** (p * w - 1.0) * math.exp(-a * v ** p)
+
+    def tail(t: float) -> float:
         return math.exp(-a * t) * t ** (w - 1.0)
-
-    def flattened(tau: float) -> float:
-        # t = tau^(1/w); e^(-a t) t^(w-1) dt becomes e^(-a tau^(1/w)) dtau / w.
-        if tau <= 0.0:
-            return 1.0 / w
-        return math.exp(-a * tau ** (1.0 / w)) / w
 
     T = max(2.0, cfg.truncation_T if cfg.truncation_T is not None
             else exp_tail_cutoff(a, 1.0, budget))
@@ -360,9 +368,8 @@ def monomial_kernel_check(alpha, s: float, w: float,
     # Tail of the Euler integral: below 2 T^(w-1) e^(-aT)/a once aT >= 2(w-1).
     while 2.0 * T ** max(w - 1.0, 0.0) * math.exp(-a * T) / a > budget / 10.0:
         T *= 1.5
-    head = flattened if w < 1.0 else direct
     total = integrate(head, 0.0, 1.0, budget / 4.0, cfg.max_subdivisions)
-    total += integrate(direct, 1.0, T, budget / 4.0, cfg.max_subdivisions)
+    total += integrate(tail, 1.0, T, budget / 4.0, cfg.max_subdivisions)
     return total / gw
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import counting as cf
 from .catalog import SCHEMES, SchemeSpec
 from .counting import CountingFunction
-from .errors import ParseError, UnknownSchemeError
+from .errors import ParameterRangeError, ParseError, UnknownSchemeError
 
 #: Expansion cap for powers of non-variable bases.
 MAX_COMPOUND_EXPONENT = 512
@@ -55,6 +55,13 @@ def _is_digit(c: str) -> bool:
     # str.isdigit() accepts Unicode digits (e.g. superscripts) that int()
     # rejects; the grammar means ASCII digits only.
     return c in _ASCII_DIGITS
+
+
+def _int_literal(digits: str, offset: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits())
+        raise ParseError(f"numeric literal of {len(digits)} digits is too long", offset) from None
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ def _tokenize(text: str) -> list[_Token]:
             start = i
             while i < n and _is_digit(text[i]):
                 i += 1
-            num = int(text[start:i])
+            num = _int_literal(text[start:i], start)
             den = 1
             if i < n and text[i] == "/":
                 j = i + 1
@@ -98,7 +105,7 @@ def _tokenize(text: str) -> list[_Token]:
                 i = j
                 while i < n and _is_digit(text[i]):
                     i += 1
-                den = int(text[j:i])
+                den = _int_literal(text[j:i], start)
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", start)
             tokens.append(_Token("num", Fraction(num, den), start))
@@ -246,5 +253,11 @@ def parse_scheme(text: str) -> SchemeSpec:
     for kind, row in SCHEMES.items():
         m = row.pattern.match(name)
         if m:
-            return SchemeSpec(kind, *(int(g) for g in m.groups()))
+            try:
+                ranks = [int(g) for g in m.groups()]
+            except ValueError:  # more digits than int() converts
+                raise ParameterRangeError(
+                    f"{row.template.format(r='r')} rank of {len(m.group(1))} digits "
+                    "is out of range") from None
+            return SchemeSpec(kind, *ranks)
     raise UnknownSchemeError(f"unknown scheme name {name!r}", 0)

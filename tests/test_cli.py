@@ -31,6 +31,8 @@ import abszeta.catalog as cat
 from abszeta.parser import parse_expr
 from conftest import run_cli
 
+OVERLONG = "9" * 5000  # beyond the digits int() converts
+
 RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
 SIGNED_INT = {"type": "string", "pattern": r"^-?\d+$"}
 
@@ -382,6 +384,12 @@ def test_golden_output(argv, code, out, err):
     (("eval", "--expr", "1000000000000*u^1023", "--u", "2"), 3),
     (("hurwitz", "--expr", "u", "--w=-400", "--s", "1e10"), 3),
     (("gamma", "--order", "-1", "--x", "1e-320"), 3),
+    # literals longer than int() converts
+    (("zeta", "--scheme", f"GL({OVERLONG})"), 3),
+    (("counting", "--expr", OVERLONG), 2),
+    (("counting", "--expr", f"u^{OVERLONG}"), 2),
+    (("counting", "--expr", f"(u-1)^{OVERLONG}"), 2),
+    (("gamma", "--order=-0.001", "--x", "1", "--method", "integral"), 3),  # e^999
 ])
 def test_exit_codes(argv, code):
     got, out, err = run_cli(*argv)
@@ -408,14 +416,42 @@ def test_number_formatting_avoids_negative_zero():
     assert doc["re"] == 0.0 and repr(doc["re"]) == "0.0"
 
 
+def _subprocess_env() -> dict:
+    src = os.path.dirname(os.path.dirname(abszeta.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_script_entry_point():
     """A real process: the installed script, else the module's own entry point."""
     exe = shutil.which("abszeta")
     cmd = [exe] if exe else [sys.executable, "-m", "abszeta.cli"]
-    src = os.path.dirname(os.path.dirname(abszeta.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(cmd + ["zeta", "--scheme", "SL(2)"],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60, env=_subprocess_env())
     assert proc.returncode == 0
     assert proc.stdout == "(s-1)^1 * (s-3)^-1\n"
+
+
+IMPORT_PROBE = """
+import contextlib, io, sys
+import abszeta, abszeta.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert abszeta.cli.run(list(argv)) == 0, argv
+
+for argv in [("catalog",), ("zeta", "--scheme", "SL(3)"), ("check", "fe", "--scheme", "GL(3)"),
+             ("sine", "--order=-2"), ("eval", "--expr", "u^3 - u", "--u", "4")]:
+    run(*argv)
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+run("gamma", "--order=-1.5", "--x", "2", "--method", "integral")
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+
+
+def test_symbolic_commands_and_quadrature_load_no_numeric_stack():
+    """Import and the exact subcommands are stdlib-only; quadrature needs no scipy."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"

@@ -3,10 +3,10 @@
 Oracle policy.  Values marked FROZEN below were computed offline with
 mpmath at 40 significant digits through the *integral representations*
 of the functions (a code path entirely independent of the series and
-Euler-Maclaurin implementations under test) and embedded as literals, so
-running the suite needs no arbitrary-precision dependency.  Closed forms
-(pi^2/6, -1/12, finite rational sums, libm lgamma) serve as additional
-independent anchors.
+Euler-Maclaurin implementations under test) and embedded as literals.
+The adaptive integrator is checked against mpmath's own quadrature at
+30 digits, run live.  Closed forms (pi^2/6, -1/12, finite rational sums,
+libm lgamma) serve as additional independent anchors.
 
 Claims covered:
 - generalized binomial coefficients: exact values, termination for
@@ -19,6 +19,9 @@ Claims covered:
 - gamma via series, via integral, and via the exact product all agree;
 - kernel quadrature matches closed forms; log-zeta integral matches the
   log of the factored product;
+- the G7K15 integrator: rule constants exact to their polynomial degrees,
+  true error within the budget on closed forms and on the gamma and
+  kernel integrands, ConvergenceError on non-finite integrand values;
 - classical Hurwitz zeta: FROZEN values, exact Bernoulli-polynomial
   values at non-positive integer w, recurrence property;
 - normalized log-gamma and the reflection identity vs libm;
@@ -31,6 +34,7 @@ import cmath
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,7 +61,8 @@ from abszeta.numerics import (
     zeta_series,
     zeta_series_exact,
 )
-from abszeta.quadrature import QuadSettings, exp_tail_cutoff, integrate
+import abszeta.quadrature as quad
+from abszeta.quadrature import QuadSettings, _panel, exp_tail_cutoff, integrate
 from abszeta.symzeta import eval_hurwitz, eval_power_product, zeta_of
 
 # ---------------------------------------------------------------------------
@@ -349,6 +354,81 @@ def test_integrate_known_value_and_failure():
         math.e - 1.0, rel=1e-12)
     with pytest.raises(ConvergenceError):
         integrate(lambda t: math.cos(200.0 * t * t), 0.0, 20.0, 1e-13, 2)
+
+
+def test_gauss_kronrod_constants_are_exact_to_their_degrees():
+    xs = (quad.X1, quad.X2, quad.X3, quad.X4, quad.X5, quad.X6, quad.X7)
+    kronrod = [(0.0, quad.K8)] + [
+        (sign * x, w) for x, w in zip(xs, (quad.K1, quad.K2, quad.K3, quad.K4,
+                                           quad.K5, quad.K6, quad.K7)) for sign in (1, -1)]
+    gauss = [(0.0, quad.G8)] + [
+        (sign * x, w) for x, w in zip(xs[1::2], (quad.G2, quad.G4, quad.G6)) for sign in (1, -1)]
+    for rule, degree in ((kronrod, 23), (gauss, 13)):
+        for k in range(degree + 1):
+            moment = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert math.fsum(w * x ** k for x, w in rule) == pytest.approx(moment, abs=2e-16)
+
+
+def test_kronrod_panel_is_exact_to_its_degree():
+    # one panel: the Kronrod value is exact through degree 22 and the
+    # 7-point Gauss rule through degree 13, so the estimate is at roundoff
+    assert _panel(lambda t: 23.0 * t ** 22, -1.0, 1.0)[3] == pytest.approx(2.0, rel=1e-14)
+    assert integrate(lambda t: 14.0 * t ** 13 + 1.0, 0.0, 1.0, 1e-13, 1) == pytest.approx(
+        2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("f,a,b,exact", [
+    (math.sqrt, 0.0, 1.0, 2.0 / 3.0),                                  # endpoint singular
+    (lambda t: math.exp(-t), 1.0, 30.0, math.exp(-1.0) - math.exp(-30.0)),
+    (lambda t: 1.0 / (1.0 + t * t), -5.0, 5.0, 2.0 * math.atan(5.0)),
+])
+@pytest.mark.parametrize("epsabs", [1e-6, 1e-12])
+def test_integrate_closed_forms_within_budget(f, a, b, exact, epsabs):
+    assert abs(integrate(f, a, b, epsabs) - exact) <= epsabs
+
+
+# the integrands of gamma_integral's and monomial_kernel_check's panels,
+# once in floats and once in mpmath
+def _gamma_head(a, x, m):
+    p = max(2.0, 2.0 / a)
+    return lambda v: p * v ** (p * a - 1) * (-m.expm1(-v ** p) / v ** p) ** a * m.exp(-x * v ** p)
+
+
+def _gamma_tail(a, x, m):
+    return lambda t: (1 - m.exp(-t)) ** a * m.exp(-x * t) / t
+
+
+def _kernel_head(a, w, m):
+    p = max(2.0, 2.0 / w)
+    return lambda v: p * v ** (p * w - 1) * m.exp(-a * v ** p)
+
+
+@pytest.mark.parametrize("make,args,lo,hi", [
+    (_gamma_head, (0.3, 2.0), 0.0, 1.0),
+    (_gamma_head, (1.6, 0.5), 0.0, 1.0),
+    (_gamma_tail, (0.5, 0.3), 1.0, 80.0),
+    (_gamma_tail, (2.7, 1.8), 1.0, 20.0),
+    (_kernel_head, (2.0, 0.15), 0.0, 1.0),
+    (_kernel_head, (0.4, 1.4), 0.0, 1.0),
+    (_kernel_head, (5.0, 3.7), 0.0, 1.0),
+    (lambda a, w, m: (lambda t: m.exp(-a * t) * t ** (w - 1)), (0.3, 3.1), 1.0, 120.0),
+])
+@pytest.mark.parametrize("epsabs", [2.5e-7, 2.5e-10])
+def test_integrate_true_error_within_budget(make, args, lo, hi, epsabs):
+    with mpmath.workdps(30):
+        reference = mpmath.quad(make(*args, mpmath), [lo, (lo + hi) / 2, hi])
+    got = integrate(make(*args, math), lo, hi, epsabs)
+    assert abs(got - float(reference)) <= epsabs
+
+
+def test_integrate_refuses_non_finite_values_and_reversed_panels():
+    with pytest.raises(ConvergenceError):
+        integrate(lambda t: math.nan, 0.0, 1.0, 1e-8)
+    with pytest.raises(ConvergenceError):
+        integrate(lambda t: math.inf if t > 0.9 else 1.0, 0.0, 1.0, 1e-8)
+    for a, b in ((1.0, 0.0), (1.0, 1.0)):
+        with pytest.raises(DomainError):
+            integrate(math.exp, a, b, 1e-8)
 
 
 def test_exp_tail_cutoff_controls_dropped_mass():

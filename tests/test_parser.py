@@ -115,6 +115,18 @@ def test_rejections_carry_offsets(text, offset):
     assert 0 <= exc.value.offset <= len(text)
 
 
+OVERLONG = "9" * 5000  # beyond the digits int() converts
+
+
+@pytest.mark.parametrize("text,offset", [
+    (OVERLONG, 0), (f"u^{OVERLONG}", 2), (f"(u-1)^{OVERLONG}", 6), (f"u^(1/{OVERLONG})", 3),
+], ids=["number", "variable-exponent", "compound-exponent", "denominator"])
+def test_overlong_literal_is_a_positioned_parse_error(text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text)
+    assert exc.value.offset == offset
+
+
 def test_nesting_cap():
     deep = "(" * (MAX_DEPTH + 1) + "u" + ")" * (MAX_DEPTH + 1)
     with pytest.raises(ParseError) as exc:
@@ -174,6 +186,12 @@ def test_unknown_scheme_names(text):
 def test_known_scheme_bad_rank(text):
     with pytest.raises(ParameterRangeError):
         parse_scheme(text)
+
+
+@pytest.mark.parametrize("template", ["GL({})", "SL({})", "Gm^{}"])
+def test_overlong_scheme_rank(template):
+    with pytest.raises(ParameterRangeError, match="rank of 5000 digits"):
+        parse_scheme(template.format(OVERLONG))
 
 
 def test_unknown_scheme_error_is_a_parse_error():
