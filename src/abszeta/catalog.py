@@ -11,14 +11,21 @@ Supported kinds:
 
 Every named scheme other than SpecF1 has dimension d and a period vector
 w, and its absolute zeta equals the multi-period gamma function of the
-periods evaluated at s - d.  ``zeta_of_scheme`` recomputes the zeta both
-ways (directly from the counting function and through the gamma product)
-and insists the two factorizations agree before returning.
+periods evaluated at s - d.  ``counting_of`` expands the product with one
+tensor power per distinct period.  ``zeta_of_scheme`` checks that
+expansion against the product by a route that shares no code with it:
+both sides are evaluated exactly, as integers, at |w| + 1 points, which
+decides the identity of two polynomials of degree |w|.
+
+A scheme's total period |w| is the degree of that polynomial, and the
+rank budget :data:`MAX_TOTAL_PERIOD` caps it before anything is expanded.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -26,8 +33,13 @@ from typing import Callable
 from . import counting as cf
 from .counting import CountingFunction
 from .errors import NoFunctionalEquationError, ParameterRangeError
-from .gammasine import MultiGammaSpec, PeriodVector, multiperiod_gamma
+from .gammasine import MAX_PERIODS, PeriodVector
 from .symzeta import FEParams, PowerProduct, zeta_of
+
+#: Rank budget: the largest total period |w| of a scheme.  A catalog
+#: scheme's periods are positive integers, so it has at most |w| of them,
+#: and the period-vector cap is the same number.
+MAX_TOTAL_PERIOD = MAX_PERIODS
 
 SPEC_F1 = "SpecF1"
 GM = "Gm"
@@ -78,10 +90,15 @@ class SchemeSpec:
 
     def __post_init__(self):
         row = SCHEMES.get(self.kind)
-        if row and row.min_r is not None and (
-                not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < row.min_r):
-            raise ParameterRangeError(
-                f"{row.template.format(r='r')} needs an integer r >= {row.min_r}, got {self.r!r}")
+        if row and row.min_r is not None:
+            if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < row.min_r:
+                raise ParameterRangeError(
+                    f"{row.template.format(r='r')} needs an integer r >= {row.min_r}, got {self.r!r}")
+            # |w| >= r for every parametric kind, so a larger r is refused unlisted
+            if self.r > MAX_TOTAL_PERIOD or sum(row.periods(self.r)) > MAX_TOTAL_PERIOD:
+                raise ParameterRangeError(
+                    f"{row.template.format(r='r')} exceeds the rank budget: "
+                    f"total period above {MAX_TOTAL_PERIOD}")
         object.__setattr__(self, "_row", row)
 
     @property
@@ -136,29 +153,53 @@ def counting_of(spec: SchemeSpec) -> CountingFunction:
     if row is None:
         raise ParameterRangeError(f"unknown scheme kind {spec.kind!r}")
     n = cf.normalize([(row.dimension(spec.r), 1)])
-    for w in row.periods(spec.r):
-        n = cf.otimes(n, cf.normalize([(0, 1), (-w, -1)]))
+    for w, k in Counter(row.periods(spec.r)).items():
+        n = cf.otimes(n, cf.tensor_power(cf.normalize([(0, 1), (-w, -1)]), k))
     return n
 
 
 def zeta_of_scheme(spec: SchemeSpec) -> PowerProduct:
-    """Absolute zeta of a scheme, cross-checked through its gamma factorization.
+    """Absolute zeta of a scheme, cross-checked against its period product.
 
-    For schemes with a period vector the result must coincide with the
-    multi-period gamma of the periods shifted by the dimension; a mismatch
-    would mean the counting and gamma routes disagree, so it is treated as
-    an internal error rather than a recoverable condition.
+    For schemes with a period vector w and dimension d the counting
+    function must be N(u) = u^d * prod (1 - u^-w_j): its lowest exponent
+    is d - |w|, its span |w|, and u^(|w| - d) * N(u), a polynomial of
+    degree |w| evaluated by Horner's rule, equals prod (u^w_j - 1) at the
+    |w| + 1 points u = 2 .. |w| + 2.  Two polynomials of degree |w| that
+    agree at that many points are equal (Schwartz 1980; Zippel 1979), so
+    this decides the identity without sharing code with the expansion.  A
+    mismatch would mean the counting route is wrong, so it is treated as
+    an internal error rather than a recoverable condition.  The zeta is
+    then the multi-period gamma of the periods shifted by d.
     """
-    product = zeta_of(counting_of(spec))
+    n = counting_of(spec)
+    product = zeta_of(n)
     periods = spec.periods
-    if periods is not None:
-        g = multiperiod_gamma(MultiGammaSpec(order=-len(periods), periods=periods))
-        via_gamma = g.shifted(spec.dimension, variable="s")
-        if via_gamma.factors != product.factors:
-            raise AssertionError(
-                f"internal cross-check failed for {spec.name}: "
-                f"counting route gives {product}, gamma route gives {via_gamma}")
+    if periods is not None and not _matches_period_product(n, spec.dimension, periods):
+        raise AssertionError(
+            f"internal cross-check failed for {spec.name}: counting route gives {n}, "
+            f"which is not u^{spec.dimension} * prod over {periods} of (1 - u^-w)")
     return product
+
+
+def _matches_period_product(n: CountingFunction, d: int, periods: PeriodVector) -> bool:
+    total = periods.total()
+    if not n.terms or n.terms[-1][0] != d - total or n.terms[0][0] - n.terms[-1][0] != total:
+        return False
+    coefficients = [0] * (int(total) + 1)  # of u^(k + d - |w|), k = 0 .. |w|
+    for a, m in n.terms:
+        k = a - n.terms[-1][0]
+        if k.denominator != 1 or m.denominator != 1:
+            return False
+        coefficients[k.numerator] = m.numerator
+    multiplicity = Counter(int(w) for w in periods.periods)
+    for u in range(2, len(coefficients) + 2):
+        value = 0
+        for c in reversed(coefficients):
+            value = value * u + c
+        if value != math.prod((u ** w - 1) ** k for w, k in multiplicity.items()):
+            return False
+    return True
 
 
 def fe_params_of(spec: SchemeSpec) -> FEParams:

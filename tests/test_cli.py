@@ -22,13 +22,15 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 
 import abszeta
 import abszeta.catalog as cat
-from abszeta.parser import parse_expr
+from abszeta.parser import parse_expr, parse_scheme
+from abszeta.symzeta import zeta_of
 from conftest import run_cli
 
 OVERLONG = "9" * 5000  # beyond the digits int() converts
@@ -390,14 +392,43 @@ def test_golden_output(argv, code, out, err):
     (("counting", "--expr", f"u^{OVERLONG}"), 2),
     (("counting", "--expr", f"(u-1)^{OVERLONG}"), 2),
     (("gamma", "--order=-0.001", "--x", "1", "--method", "integral"), 3),  # e^999
+    # budgets: total period, term pairs, rank and subset-sum steps
+    (("zeta", "--scheme", "Gm^3000"), 3),
+    (("counting", "--expr", "((u+1)^512)^8"), 3),
+    (("sine", "--order=-100000"), 3),
+    (("gamma", "--order=-16", "--periods", ",".join(f"1/{p}" for p in (
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53))), 3),
+    # a coefficient of 51200 digits, beyond what str(int) prints
+    (("counting", "--expr", f"({'9' * 100})^512"), 3),
+    (("check", "fe", "--expr", f"({'9' * 100})^512", "--center", "0", "--sign", "1"), 3),
 ])
 def test_exit_codes(argv, code):
+    start = time.perf_counter()
     got, out, err = run_cli(*argv)
+    assert time.perf_counter() - start < 10.0
     assert got == code
     assert "Traceback" not in err
     if code in (2, 3, 4):
         assert out == ""
         assert err.startswith("abszeta: error:")
+
+
+def test_budget_errors_name_their_limit():
+    code, _, err = run_cli("counting", "--expr", f"({'9' * 100})^512")
+    assert (code, err) == (3, "abszeta: error: a number of 51200 digits is too long to print "
+                              "(the limit is 4300)\n")
+    code, _, err = run_cli("zeta", "--scheme", "GL(38)")
+    assert code == 3 and f"total period above {cat.MAX_TOTAL_PERIOD}" in err
+
+
+def test_largest_schemes_within_rank_budget():
+    """GL(24) and the largest GL within the budget finish; GL(24) never did before."""
+    for name in ("GL(24)", "GL(37)"):
+        start = time.perf_counter()
+        code, out, err = run_cli("zeta", "--scheme", name)
+        assert (code, err) == (0, "")
+        assert time.perf_counter() - start < 5.0
+        assert out == str(zeta_of(cat.counting_of(parse_scheme(name)))) + "\n"
 
 
 def test_error_json_document_on_error_stream():

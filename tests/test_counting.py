@@ -5,7 +5,9 @@ Claims covered:
 - direct sum is pointwise addition, tensor product convolves exponents
   (oracle: independent dict convolution, sympy expansion, and numeric
   evaluation homomorphisms);
-- tensor powers expand (u-1)^r correctly;
+- tensor powers expand (u-1)^r correctly, and the closed-form binomial and
+  binary squaring agree with r - 1 repeated tensor products;
+- the expansion budget refuses oversized products before multiplying;
 - evaluation at real u > 1 and exact rational evaluation behave and
   reject out-of-domain points;
 - the operations form a commutative semiring (hypothesis property suite).
@@ -14,6 +16,8 @@ Claims covered:
 from __future__ import annotations
 
 import math
+import random
+import time
 from fractions import Fraction as F
 from itertools import product as iproduct
 
@@ -108,6 +112,45 @@ def test_tensor_power_expands_binomially():
     cube = cf.tensor_power(cf.U_MINUS_ONE, 3)
     expected = {F(k): F((-1) ** (3 - k) * math.comb(3, k)) for k in range(4)}
     assert cube.as_dict() == expected
+
+
+def _random_base(rng, k, rational):
+    pool = sorted({F(e, d) for e in range(-4, 5) for d in ((1, 2, 3, 4) if rational else (1,))})
+    return cf.normalize(
+        (e, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3) if rational else 1))
+        for e in rng.sample(pool, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rational", [False, True])
+def test_tensor_power_matches_repeated_otimes(k, rational):
+    """Closed form (two terms) and squaring (one or three) against r - 1 products."""
+    rng = random.Random(100 * k + rational)
+    for r in (1, 2, 3, 5, 8, 13, 21, 32, 64):
+        base = _random_base(rng, k, rational)
+        assert len(base.terms) == k
+        repeated = base
+        for _ in range(r - 1):
+            repeated = cf.otimes(repeated, base)
+        assert cf.tensor_power(base, r) == repeated, (base, r)
+
+
+def test_expansion_budget():
+    cap = cf.MAX_TERM_PAIRS
+    side = math.isqrt(cap) + 1
+    wide = cf.normalize((a, 1) for a in range(side))
+    start = time.perf_counter()
+    with pytest.raises(ParameterRangeError, match="expansion budget"):
+        cf.otimes(wide, wide)
+    with pytest.raises(ParameterRangeError, match="expansion budget"):
+        cf.tensor_power(wide, 2)
+    largest = 2 * (math.isqrt(cap) - 1)  # (r // 2 + 1)^2 <= cap
+    with pytest.raises(ParameterRangeError, match="expansion budget"):
+        cf.tensor_power(cf.U_MINUS_ONE, largest + 2)
+    with pytest.raises(ParameterRangeError, match="expansion budget"):
+        cf.tensor_power(cf.U_MINUS_ONE, 10 ** 12)
+    assert time.perf_counter() - start < 1.0
+    assert len(cf.tensor_power(cf.U_MINUS_ONE, largest).terms) == largest + 1
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.0, F(3, 2)])

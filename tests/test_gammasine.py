@@ -7,14 +7,19 @@ Claims covered:
   periods and for arbitrary positive rational periods;
 - reflecting the gamma product across -(total period) reproduces it with
   alternating exponent sign (checked numerically too);
+- the subset-sum recurrence of the multi-period gamma equals the 2^r
+  subset enumeration (test-only oracle), coinciding sums included;
 - the tensor-power functional-equation check passes for r = 1..8;
-- parameter validation of period vectors and order specs.
+- parameter validation of period vectors and order specs, and the rank
+  and subset-step budgets.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +28,7 @@ import abszeta.counting as cf
 from abszeta.errors import ParameterRangeError
 from abszeta.gammasine import (
     MAX_PERIODS,
+    MAX_SUBSET_STEPS,
     MultiGammaSpec,
     PeriodVector,
     as_period_vector,
@@ -33,7 +39,7 @@ from abszeta.gammasine import (
     neg_zeta_terms,
     tensor_power_fe_check,
 )
-from abszeta.symzeta import eval_hurwitz, eval_power_product, zeta_of
+from abszeta.symzeta import eval_hurwitz, eval_power_product, normalize_power_product, zeta_of
 
 period_lists = st.lists(
     st.fractions(min_value=F(1, 4), max_value=5, max_denominator=8),
@@ -120,6 +126,26 @@ def test_multiperiod_gamma_subset_cancellation():
                               F(-3): F(-2), F(-4): F(1)}
 
 
+def subset_oracle(periods):
+    """The defining 2^r enumeration: subset S gives (x + sum S)^((-1)^(|S|+1))."""
+    return normalize_power_product(
+        ((-sum(combo, F(0)), (-1) ** (k + 1))
+         for k in range(len(periods) + 1) for combo in combinations(periods, k)),
+        variable="x")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_multiperiod_gamma_matches_subset_enumeration(seed):
+    rng = random.Random(seed)
+    r = seed + 1
+    # even seeds draw from a few small values, so many subset sums coincide
+    pool = [F(1), F(2), F(3), F(1, 2), F(3, 2)]
+    periods = tuple(rng.choice(pool) if seed % 2 == 0 else F(rng.randint(1, 40), rng.randint(1, 9))
+                    for _ in range(r))
+    spec = MultiGammaSpec(-r, PeriodVector(periods))
+    assert multiperiod_gamma(spec) == subset_oracle(periods), periods
+
+
 @settings(max_examples=60)
 @given(period_lists)
 def test_multiperiod_sine_trivial_for_any_periods(periods):
@@ -162,10 +188,27 @@ def test_period_vector_validation():
         PeriodVector((F(-1), F(2)))
     with pytest.raises(ParameterRangeError):
         PeriodVector((F(1),) * (MAX_PERIODS + 1))
+    PeriodVector((F(1),) * MAX_PERIODS)  # the periods of Gm^MAX_PERIODS
     pv = as_period_vector([1, "3/2"])
     assert pv.total() == F(5, 2)
     assert str(pv) == "(1,3/2)"
     assert as_period_vector(pv) is pv
+
+
+def test_subset_step_budget():
+    """Distinct subset sums, not 2^r, set the work; periods with 2^r of them hit the budget."""
+    generic = tuple(F(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53))
+    assert len(generic) * 2 ** len(generic) > MAX_SUBSET_STEPS
+    with pytest.raises(ParameterRangeError, match="subset-sum steps"):
+        PeriodVector(generic)
+    PeriodVector(generic[:12])
+    PeriodVector(tuple(F(j) for j in range(1, 37)))  # GL(36): 36 periods, 667 sums
+
+
+@pytest.mark.parametrize("make", [neg_zeta_terms, neg_gamma, neg_sine, tensor_power_fe_check])
+def test_order_magnitude_budget(make):
+    with pytest.raises(ParameterRangeError, match="rank budget"):
+        make(MAX_PERIODS + 1)
 
 
 def test_multigamma_spec_validation():
