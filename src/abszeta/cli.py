@@ -30,7 +30,8 @@ from fractions import Fraction
 from . import __version__
 from .catalog import catalog_entries, counting_of, fe_params_of, zeta_of_scheme
 from .counting import CountingFunction, eval_at
-from .errors import (AbsZetaError, ConvergenceError, DomainError, ParseError)
+from .errors import (AbsZetaError, ConvergenceError, DomainError, ParameterRangeError,
+                     ParseError)
 from .gammasine import (MultiGammaSpec, PeriodVector, multiperiod_gamma,
                         multiperiod_sine, neg_gamma, neg_sine,
                         tensor_power_fe_check)
@@ -72,6 +73,14 @@ def _parse_rational_or_float(text: str):
         return float(text)
     except ValueError:
         raise _UsageError(f"not a number: {text!r}") from None
+
+
+def _order_float(text: str, what: str) -> float:
+    """The order literal as a float; an exact value beyond the float range exits 3."""
+    try:
+        return float(_parse_rational_or_float(text))
+    except OverflowError:
+        raise ParameterRangeError(f"{what} {text} is beyond the float range") from None
 
 
 def _parse_periods(text: str) -> PeriodVector:
@@ -215,7 +224,6 @@ def _cmd_hurwitz(args) -> int:
 
 def _cmd_gamma(args) -> int:
     order = _parse_rational_or_float(args.order)
-    order_f = float(order)
     method = args.method
     if method is None:
         is_int = isinstance(order, Fraction) and order.denominator == 1
@@ -238,6 +246,7 @@ def _cmd_gamma(args) -> int:
         return _emit(args, number_doc(value), _fmt_number(value))
     if args.x is None:
         raise _UsageError(f"method {method!r} needs --x")
+    order_f = _order_float(args.order, "--order")
     if method == "series":
         value = gamma_series(order_f, args.x, _series_cfg(args))
     else:
@@ -279,8 +288,8 @@ def _cmd_check_fe(args) -> int:
 
 
 def _cmd_check_thm2(args) -> int:
-    r = float(_parse_rational_or_float(args.r))
-    if r.is_integer() or r >= 0.0:
+    r = _order_float(args.r, "--r")
+    if not math.isfinite(r) or r.is_integer() or r >= 0.0:
         raise DomainError(f"the vanishing statement needs a negative non-integer order, got {r}")
     x = args.x if args.x is not None else 0.5
     cfg = _series_cfg(args)

@@ -29,6 +29,7 @@ import pytest
 
 import abszeta
 import abszeta.catalog as cat
+from abszeta.numerics import MAX_SERIES_TERMS
 from abszeta.parser import parse_expr, parse_scheme
 from abszeta.symzeta import zeta_of
 from conftest import run_cli
@@ -392,7 +393,18 @@ def test_golden_output(argv, code, out, err):
     (("counting", "--expr", f"u^{OVERLONG}"), 2),
     (("counting", "--expr", f"(u-1)^{OVERLONG}"), 2),
     (("gamma", "--order=-0.001", "--x", "1", "--method", "integral"), 3),  # e^999
-    # budgets: total period, term pairs, rank and subset-sum steps
+    # exact orders beyond the float range, and non-finite ones
+    (("gamma", "--order=-1e400"), 3),
+    (("gamma", "--order=-1e400", "--x", "1"), 3),
+    (("gamma", "--order=-1e400", "--x", "1", "--method", "series"), 3),
+    (("check", "thm2", "--r=-1e400"), 3),
+    (("check", "thm2", "--r=-inf"), 3),
+    (("check", "thm2", "--r=nan"), 3),
+    # series whose terms or elimination factors leave the float range
+    (("gamma", "--order=-2000.5", "--x", "1"), 4),
+    (("gamma", "--order=-1e-300", "--x", "1"), 4),
+    # budgets: series terms, total period, term pairs, rank and subset-sum steps
+    (("gamma", "--order=-1/2", "--x", "1", "--max-terms", "200000000"), 3),
     (("zeta", "--scheme", "Gm^3000"), 3),
     (("counting", "--expr", "((u+1)^512)^8"), 3),
     (("sine", "--order=-100000"), 3),
@@ -419,6 +431,11 @@ def test_budget_errors_name_their_limit():
                               "(the limit is 4300)\n")
     code, _, err = run_cli("zeta", "--scheme", "GL(38)")
     assert code == 3 and f"total period above {cat.MAX_TOTAL_PERIOD}" in err
+    start = time.perf_counter()
+    code, _, err = run_cli("gamma", "--order=-1/2", "--x", "1", "--max-terms", "200000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (3, "abszeta: error: max_terms 200000000 is above the series "
+                              f"budget of {MAX_SERIES_TERMS} terms\n")
 
 
 def test_largest_schemes_within_rank_budget():
@@ -465,7 +482,11 @@ def test_console_script_entry_point():
 
 IMPORT_PROBE = """
 import contextlib, io, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import abszeta, abszeta.cli
+
+def loaded():
+    return sorted(m for m in ("numpy", "scipy") if sys.modules.get(m) is not None)
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -474,14 +495,18 @@ def run(*argv):
 for argv in [("catalog",), ("zeta", "--scheme", "SL(3)"), ("check", "fe", "--scheme", "GL(3)"),
              ("sine", "--order=-2"), ("eval", "--expr", "u^3 - u", "--u", "4")]:
     run(*argv)
-print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
-run("gamma", "--order=-1.5", "--x", "2", "--method", "integral")
-print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+print(loaded())
+for argv in [("gamma", "--order=-1.5", "--x", "2", "--method", "integral"),
+             ("gamma", "--order=-1.5", "--x", "2"), ("check", "thm2", "--r=-2.5"),
+             ("check", "identity-binomial")]:
+    run(*argv)
+print(loaded())
 """
 
 
 def test_symbolic_commands_and_quadrature_load_no_numeric_stack():
-    """Import and the exact subcommands are stdlib-only; quadrature needs no scipy."""
+    """Import, the exact subcommands, quadrature and the series are stdlib-only:
+    with numpy made unimportable, every one of them still runs."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
                           capture_output=True, text=True, timeout=60, env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr

@@ -10,11 +10,16 @@ libm lgamma) serve as additional independent anchors.
 
 Claims covered:
 - generalized binomial coefficients: exact values, termination for
-  negative integer order, the n^(r-1) envelope, the vectorized float
-  recurrence equal bit for bit to a scalar loop;
+  negative integer order, the n^(r-1) envelope, the float coefficient
+  generator equal bit for bit to a scalar loop;
 - zeta series: terminating exact path, accelerated path vs FROZEN
   values, agreement with the classical Hurwitz routine at order 1,
   conjugate symmetry in w, honest ConvergenceError when starved;
+- streaming and early stopping: the streamed partial sums equal a plain
+  loop over the coefficient generator, every early-stopped value is
+  within tolerance of mpmath (run live) or the call raises
+  ConvergenceError, the last checkpoint still accepts one estimate, and
+  the term budget and float overflow end in package errors;
 - the raw tail bound really bounds the observed remainder;
 - gamma via series, via integral, and via the exact product all agree;
 - kernel quadrature matches closed forms; log-zeta integral matches the
@@ -33,19 +38,23 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import abszeta.counting as cf
+import abszeta.numerics as numerics
 from abszeta.errors import (ConvergenceError, DomainError, ParameterRangeError,
                             PoleError, PreconditionError)
 from abszeta.gammasine import neg_gamma, neg_zeta_terms
 from abszeta.numerics import (
     BERNOULLI_EVEN,
+    MAX_SERIES_TERMS,
     SeriesSettings,
-    _coefficient_array,
+    _checkpoints,
+    _float_coefficients,
     binomial_identity_sum,
     classical_hurwitz,
     euler_reflection_check,
@@ -127,8 +136,8 @@ def test_gen_binom_rejects_negative_index():
         gen_binom(F(1, 2), -1)
 
 
-def test_coefficient_array_matches_scalar_recurrence_bitwise():
-    """The vectorized recurrence reproduces the scalar loops bit for bit:
+def test_float_coefficients_match_scalar_recurrence_bitwise():
+    """The float generator reproduces the scalar loops bit for bit:
     (r + n - 1.0) / n for float r, and exact-integer quotients for integer r."""
     for r in list(range(-60, 4)) + [-2.5, -0.3, 0.7]:
         h, expected = 1.0, []
@@ -136,8 +145,29 @@ def test_coefficient_array_matches_scalar_recurrence_bitwise():
             expected.append(h)
             h *= (r + n - 1) / n if isinstance(r, int) else (r + n - 1.0) / n
         r = float(r)
-        assert _coefficient_array(r, 80).tolist() == expected
-        assert [gen_binom(r, n) for n in (0, 1, 7, 79)] == [expected[n] for n in (0, 1, 7, 79)]
+        assert list(islice(_float_coefficients(r), 80)) == expected
+        assert [gen_binom(r, n) for n in range(80)] == expected
+
+
+def test_integer_order_values_frozen():
+    """The terminating float sums give the same bits as the array engine
+    they replaced (values printed by that engine)."""
+    assert zeta_series(-9, 2.0, 1.0) == 0.2928968253968248 + 0j
+    assert gamma_series(-3, 1.5) == 1.0932944606413992
+    frozen = {
+        (1, 0.4): -0.9999999999999999, (1, 1.0): -1.0, (1, 2.5): -1.0,
+        (2, 0.4): 1.9999999999999991, (2, 1.0): 2.0000000000000018, (2, 2.5): 2.0,
+        (3, 0.4): -6.000000000000007, (3, 1.0): -5.999999999999972,
+        (3, 2.5): -6.000000000000114,
+        (4, 0.4): 24.00000000000017, (4, 1.0): 24.000000000000227,
+        (4, 2.5): 23.999999999999773,
+        (5, 0.4): -119.99999999999727, (5, 1.0): -119.99999999999636,
+        (5, 2.5): -120.00000000005093,
+        (6, 0.4): 719.9999999998836, (6, 1.0): 719.9999999995489,
+        (6, 2.5): 720.0000000019791,
+    }
+    for (m, x), value in frozen.items():
+        assert zeta_series(-m, -m, x) == complex(value), (m, x)
 
 
 def test_terminating_series_respects_term_cap():
@@ -238,6 +268,155 @@ def test_series_settings_validation():
         SeriesSettings(tol=0.0)
     with pytest.raises(DomainError):
         SeriesSettings(max_terms=0)
+    assert SeriesSettings(max_terms=MAX_SERIES_TERMS).max_terms == MAX_SERIES_TERMS
+    with pytest.raises(ParameterRangeError, match=f"budget of {MAX_SERIES_TERMS} terms"):
+        SeriesSettings(max_terms=MAX_SERIES_TERMS + 1)
+    with pytest.raises(ParameterRangeError, match=f"budget of {MAX_SERIES_TERMS} terms"):
+        gen_binom(-0.5, MAX_SERIES_TERMS + 1)
+
+
+# ---------------------------------------------------------------------------
+# streaming and early stopping
+
+
+def _mellin_zeta(r: float, w: complex, x: float):
+    """zeta_r(w; x) as 1/Gamma(w) * int t^(w-1) e^(-xt) (1-e^(-t))^(-r) dt.
+
+    The integral converges for Re(w) > r; on [0, 1] the substitution
+    t = v^(1/a), a = Re(w) - r, leaves a bounded integrand.
+    """
+    r, x, w = mpmath.mpf(r), mpmath.mpf(x), mpmath.mpc(w)
+    a = w.real - r
+
+    def smooth(t):  # e^(-xt) ((1 - e^(-t)) / t)^(-r), equal to 1 at t = 0
+        return mpmath.exp(-x * t) * (-mpmath.expm1(-t) / t) ** (-r) if t else mpmath.mpf(1)
+
+    def head(v):
+        t = v ** (1 / a)
+        return smooth(t) * (t ** (1j * w.imag) if t else (w.imag == 0)) / a
+
+    def tail(t):
+        return t ** (w - 1) * mpmath.exp(-x * t) * (-mpmath.expm1(-t)) ** (-r)
+
+    return (mpmath.quad(head, [0, 1]) + mpmath.quad(tail, [1, 10, 60, mpmath.inf])) * mpmath.rgamma(w)
+
+
+def _mellin_log_gamma(r: float, x: float):
+    """log Gamma_r(x) = int (1 - e^(-t))^(-r) e^(-xt) / t dt, i.e. minus the
+    w-derivative at w = 0 of the Mellin integral above."""
+    a, x = -mpmath.mpf(r), mpmath.mpf(x)
+
+    def head(v):  # t = v^(1/a)
+        t = v ** (1 / a)
+        return (-mpmath.expm1(-t) / t) ** a * mpmath.exp(-x * t) / a if t else 1 / a
+
+    def tail(t):
+        return (-mpmath.expm1(-t)) ** a * mpmath.exp(-x * t) / t
+
+    return mpmath.quad(head, [0, 1]) + mpmath.quad(tail, [1, 10, 60, mpmath.inf])
+
+
+def test_mellin_oracles_match_closed_forms():
+    # order 1 with x = 1 is the Riemann zeta; order -2 has the terms 1, -2, 1
+    with mpmath.workdps(30):
+        assert abs(_mellin_zeta(1.0, 2.0 + 1j, 1.0) - mpmath.zeta(2 + 1j)) < 1e-20
+        exact = 1 - 2 * F(2) ** -3 + F(3) ** -3
+        assert abs(_mellin_zeta(-2.0, complex(3.0), 1.0) - mpmath.mpf(float(exact))) < 1e-15
+        assert abs(_mellin_log_gamma(-1.0, 1.0) - mpmath.log(2)) < 1e-20
+
+
+def test_streamed_partial_sums_equal_a_plain_loop():
+    """The inline recurrence and the three weight loops add the same terms, in
+    the same order, as a loop over the coefficient generator."""
+    r, x, cps = -1.3, 0.7, _checkpoints(1000)
+    for w, weight in ((2.2, lambda y: y ** -2.2),
+                      (1.5 + 2j, lambda y: cmath.exp(-(1.5 + 2j) * math.log(y))),
+                      (None, math.log)):
+        total, expected = 0.0, []
+        for n, h in zip(range(cps[-1]), _float_coefficients(r)):
+            total += h * weight(n + x)
+            if n + 1 in cps:
+                expected.append(total)
+        assert list(numerics._partial_sums(r, x, w, cps)) == expected
+
+
+def test_series_stops_early(monkeypatch):
+    streamed, yields = numerics._partial_sums, []
+
+    def counted(*args):
+        for partial in streamed(*args):
+            yields.append(partial)
+            yield partial
+
+    monkeypatch.setattr(numerics, "_partial_sums", counted)
+    zeta_series(-1.5, 2.5, 1.0, SeriesSettings(tol=1e-6))
+    # two consecutive estimates are needed, and none before the third checkpoint
+    assert 4 <= len(yields) < len(_checkpoints(SeriesSettings().max_terms))
+
+
+ORACLE_POINTS = [  # (r, x): orders spread over [-6, -0.1], x over [0.3, 3]
+    (-5.83, 1.71), (-4.62, 0.3), (-3.41, 2.46), (-2.77, 0.92), (-1.55, 3.0),
+    (-1.18, 0.55), (-0.64, 1.33), (-0.37, 2.08), (-0.1, 0.71),
+]
+
+
+def _oracle_cases():
+    for i, (r, x) in enumerate(ORACLE_POINTS):
+        dw = 0.3 + 0.35 * i
+        yield "zeta real w", r, x, r + dw
+        yield "zeta complex w", r, x, complex(r + 3.3 - dw, (-1) ** i * (0.4 + 0.3 * i))
+        yield "gamma", r, x, None
+        yield "vanishing", r, x, math.floor(r) + 1 + i % (-math.floor(r))
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_early_stopped_series_within_tolerance_of_mpmath(case):
+    """Every call returns a value within tol of mpmath or raises ConvergenceError;
+    at tol 1e-6 every one of these calls returns."""
+    kind, r, x, w = case
+    with mpmath.workdps(30):
+        if kind == "gamma":
+            truth = _mellin_log_gamma(r, x)
+        elif kind == "vanishing":
+            truth = _mellin_zeta(r, complex(w), x)
+            assert abs(truth) < 1e-25  # the theorem the check verifies
+        else:
+            truth = _mellin_zeta(r, complex(w), x)
+    for tol in (1e-6, 1e-9):
+        cfg = SeriesSettings(tol=tol)
+        try:
+            if kind == "gamma":
+                error = abs(math.log(gamma_series(r, x, cfg)) - truth)
+            elif kind == "vanishing":
+                error = abs(vanishing_check(r, w, x, cfg) - truth)
+            else:
+                error = abs(zeta_series(r, w, x, cfg) - truth)
+        except ConvergenceError:
+            assert tol < 1e-6, (kind, r, x, w)
+            continue
+        assert error <= tol, (kind, r, x, w, tol, float(error))
+
+
+@pytest.mark.parametrize("r", [-0.13, -0.101])
+def test_last_checkpoint_accepts_a_single_estimate(r):
+    """These small orders meet 1e-9 only at the last checkpoint of the
+    default cap, where one estimate within tolerance is enough."""
+    value = gamma_series(r, 2.9, SeriesSettings(tol=1e-9))
+    with mpmath.workdps(30):
+        assert abs(math.log(value) - _mellin_log_gamma(r, 2.9)) <= 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gamma_series(-2000.5, 1.0),          # coefficients overflow
+    lambda: zeta_series(-0.5, 1e6, 1.0),         # 2^(theta) overflows
+    lambda: zeta_series(-0.5, 400.0, 0.001),     # x^(-w) overflows
+    lambda: zeta_series(-300.5, -300 + 1j, 1.0),  # complex exponential overflows
+    lambda: gamma_series(-1e-300, 1.0),          # elimination factor 2^(-r) == 1
+    lambda: vanishing_check(-300.5, -300, 0.5),
+])
+def test_series_beyond_the_float_range_raise_convergence_error(call):
+    with pytest.raises(ConvergenceError):
+        call()
 
 
 # ---------------------------------------------------------------------------
