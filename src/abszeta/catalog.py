@@ -11,11 +11,12 @@ Supported kinds:
 
 Every named scheme other than SpecF1 has dimension d and a period vector
 w, and its absolute zeta equals the multi-period gamma function of the
-periods evaluated at s - d.  ``counting_of`` expands the product with one
-tensor power per distinct period.  ``zeta_of_scheme`` checks that
-expansion against the product by a route that shares no code with it:
-both sides are evaluated exactly, as integers, at |w| + 1 points, which
-decides the identity of two polynomials of degree |w|.
+periods evaluated at s - d.  ``counting_of`` expands the product in one
+call of ``counting.tensor_product``, a power per distinct period.
+``zeta_of_scheme`` checks that expansion against the product by a route
+that shares no code with it: both sides are evaluated exactly, as
+integers, at |w| + 1 points, which decides the identity of two
+polynomials of degree |w|.
 
 A scheme's total period |w| is the degree of that polynomial, and the
 rank budget :data:`MAX_TOTAL_PERIOD` caps it before anything is expanded.
@@ -118,7 +119,7 @@ class SchemeSpec:
     @property
     def periods(self) -> PeriodVector | None:
         ws = self._row.periods(self.r) if self._row else ()
-        return PeriodVector(tuple(Fraction(w) for w in ws)) if ws else None
+        return PeriodVector(tuple([Fraction(w) for w in ws])) if ws else None
 
 
 def spec_f1() -> SchemeSpec:
@@ -152,10 +153,9 @@ def counting_of(spec: SchemeSpec) -> CountingFunction:
     row = SCHEMES.get(spec.kind)
     if row is None:
         raise ParameterRangeError(f"unknown scheme kind {spec.kind!r}")
-    n = cf.normalize([(row.dimension(spec.r), 1)])
-    for w, k in Counter(row.periods(spec.r)).items():
-        n = cf.otimes(n, cf.tensor_power(cf.normalize([(0, 1), (-w, -1)]), k))
-    return n
+    return cf.tensor_product([(cf.normalize([(row.dimension(spec.r), 1)]), 1)]
+                             + [(cf.normalize([(0, 1), (-w, -1)]), k)
+                                for w, k in Counter(row.periods(spec.r)).items()])
 
 
 def zeta_of_scheme(spec: SchemeSpec) -> PowerProduct:

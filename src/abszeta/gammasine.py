@@ -13,8 +13,10 @@ The multi-period variant replaces the single step 1 by positive periods
 (w_1, ..., w_r); its gamma function is the alternating product of
 (x + sum of S) to the power (-1)^(|S|+1) over all subsets S of the
 periods, including the empty one.  It is built by a subset-sum recurrence
-over the distinct sums, never by listing the 2^r subsets, and both sine
-functions are one canonical pass over a gamma and its reflection.
+over the distinct sums, never by listing the 2^r subsets.  The sums are
+integers over a common denominator L of the periods, and both sine
+functions are one pass over them: the reflection maps the sum t to
+L|w| - t.  Fractions are built only for the factors that survive.
 
 Two budgets bound the work: :data:`MAX_PERIODS` periods (the rank budget,
 shared with the catalog), and :data:`MAX_SUBSET_STEPS` steps of the
@@ -33,12 +35,12 @@ from .errors import ParameterRangeError
 from .rationals import as_rational, qstr
 from .reports import CheckReport
 from .symzeta import (FEParams, HurwitzForm, PowerProduct, check_functional_equation,
-                      normalize_hurwitz, normalize_power_product, zeta_of)
+                      normalize_hurwitz, zeta_of)
 
 #: Rank budget: the most periods of a vector, and the largest order
-#: magnitude r.  It is the largest r whose binomial tensor power (u - 1)^r
-#: fits the expansion budget, so Gm^r expands for every accepted r.
-MAX_PERIODS = 2 * (math.isqrt(counting.MAX_TERM_PAIRS) - 1)
+#: magnitude r.  Gm^722, the largest catalog product it admits, packs into
+#: 0.53 Mbit, well within ``counting.MAX_PACKED_BITS``.
+MAX_PERIODS = 722
 #: Budget on the subset-sum recurrence of :func:`multiperiod_gamma`: r
 #: periods with at most k distinct subset sums take at most r * k steps.
 #: Gm^MAX_PERIODS, the largest catalog product, takes this many.
@@ -53,7 +55,7 @@ class PeriodVector:
 
     def __post_init__(self):
         object.__setattr__(self, "periods",
-                           tuple(as_rational(p) for p in self.periods))
+                           tuple([as_rational(p) for p in self.periods]))
         if not self.periods:
             raise ParameterRangeError("a period vector needs at least one period")
         if len(self.periods) > MAX_PERIODS:
@@ -81,7 +83,7 @@ class PeriodVector:
 
 def _integer_steps(periods: PeriodVector) -> tuple[int, list[int]]:
     """A common denominator L of the periods, and the integers L * w_j."""
-    den = math.lcm(*(p.denominator for p in periods.periods))
+    den = math.lcm(*[p.denominator for p in periods.periods])
     return den, [p.numerator * (den // p.denominator) for p in periods.periods]
 
 
@@ -129,8 +131,18 @@ def neg_gamma(r: int) -> PowerProduct:
     gives prod over n = 0..r of (x + n)^((-1)^(n+1) C(r, n)).
     """
     _require_positive_order_magnitude(r)
-    return normalize_power_product(
-        ((-n, (-1) ** (n + 1) * math.comb(r, n)) for n in range(r + 1)), variable="x")
+    return _product(_neg_gamma_exponents(r), 1)
+
+
+def _neg_gamma_exponents(r: int) -> dict[int, int]:
+    return {n: (-1) ** (n + 1) * math.comb(r, n) for n in range(r + 1)}
+
+
+def _product(exponents: dict[int, int], den: int) -> PowerProduct:
+    """The power product in x with the factor (x + t/den)^e for each key t
+    and nonzero exponent e, root-ascending."""
+    factors = sorted([(t, e) for t, e in exponents.items() if e], reverse=True)
+    return PowerProduct(tuple([(Fraction(-t, den), Fraction(e)) for t, e in factors]), "x")
 
 
 def neg_sine(r: int) -> PowerProduct:
@@ -142,7 +154,7 @@ def neg_sine(r: int) -> PowerProduct:
     combination collapses to the empty product, i.e. the constant 1.
     """
     _require_positive_order_magnitude(r)
-    return _sine(neg_gamma(r), Fraction(-r), r)
+    return _sine(_neg_gamma_exponents(r), r, 1, r)
 
 
 def multiperiod_gamma(spec: MultiGammaSpec) -> PowerProduct:
@@ -158,28 +170,41 @@ def multiperiod_gamma(spec: MultiGammaSpec) -> PowerProduct:
     periods equal to 1 the subsets of equal size merge and this reduces
     to :func:`neg_gamma`.
     """
-    den, steps = _integer_steps(spec.periods)
-    exponents: dict[int, int] = {0: -1}  # L * sum(S) -> exponent
+    den, _, exponents = _subset_exponents(spec.periods)
+    return _product(exponents, den)
+
+
+def _subset_exponents(periods: PeriodVector) -> tuple[int, int, dict[int, int]]:
+    """L, L * |w| and the map L * sum(S) -> exponent of the multi-period gamma."""
+    den, steps = _integer_steps(periods)
+    exponents: dict[int, int] = {0: -1}
     for w in steps:
         taken = [(t + w, -e) for t, e in exponents.items() if e]
         for t, e in taken:
             exponents[t] = exponents.get(t, 0) + e
-    return normalize_power_product(((Fraction(-t, den), e) for t, e in exponents.items()),
-                                   variable="x")
+    return den, sum(steps), exponents
 
 
-def _sine(g: PowerProduct, center: Fraction, r: int) -> PowerProduct:
-    """gamma(x)^(-1) * (gamma(center - x))^((-1)^r) for a gamma of order -r.
+def _sine(exponents: dict[int, int], total: int, den: int, r: int) -> PowerProduct:
+    """gamma(x)^(-1) * (gamma(-total/den - x))^((-1)^r) for the gamma of
+    order -r whose factor (x + t/den)^e is the entry t -> e of ``exponents``.
 
-    A factor (center - x - root)^e of the reflected gamma is
-    (-1)^e (x - (center - root))^e; a gamma of negative order has exponent
-    sum 0, so the signs cancel and one canonical pass gives the product.
+    A factor (-total/den - x + t/den)^e of the reflected gamma is
+    (-1)^e (x + (total - t)/den)^e; a gamma of negative order has exponent
+    sum 0, so the signs cancel and the reflection maps the key t to total - t.
+    Only the keys whose exponents do not cancel are kept.
     """
-    assert g.exponent_sum() == 0
+    assert sum(exponents.values()) == 0
     sign = (-1) ** r
-    return normalize_power_product(
-        [(root, -e) for root, e in g.factors] + [(center - root, sign * e) for root, e in g.factors],
-        g.variable)
+    survivors = {}
+    for t, e in exponents.items():
+        reflected = total - t
+        combined = sign * exponents.get(reflected, 0) - e
+        if combined:
+            survivors[t] = combined
+        if e and reflected not in exponents:  # a key the gamma does not have
+            survivors[reflected] = sign * e
+    return _product(survivors, den)
 
 
 def multiperiod_sine(spec: MultiGammaSpec) -> PowerProduct:
@@ -189,7 +214,8 @@ def multiperiod_sine(spec: MultiGammaSpec) -> PowerProduct:
     onto themselves (the complement map S -> periods \\ S).  Trivial -- the
     constant 1 -- for every negative integer order.
     """
-    return _sine(multiperiod_gamma(spec), -spec.periods.total(), len(spec.periods))
+    den, total, exponents = _subset_exponents(spec.periods)
+    return _sine(exponents, total, den, len(spec.periods))
 
 
 def tensor_power_fe_check(r: int) -> CheckReport:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice
@@ -255,19 +256,39 @@ def _terminating_coefficients(k: int, cfg: SeriesSettings) -> list[float]:
     return list(islice(_float_coefficients(float(k)), -k + 1))
 
 
+def _finite_positive(x, what: str) -> float:
+    x = float(x)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise DomainError(f"{what} needs a finite x > 0, got x={x}")
+    return x
+
+
+def _require_resolvable_phase(w: complex, x: float, n_max: int, cfg: SeriesSettings) -> None:
+    """The phase Im(w) log(n + x) of a term is known only to about
+    eps |Im w| |log(n + x)|; refuse a sum whose phases carry less than the
+    tolerance, since no estimate can see that error."""
+    phase_error = sys.float_info.epsilon * abs(w.imag) * max(abs(math.log(x)),
+                                                            math.log(n_max + x))
+    if phase_error > cfg.tol:
+        raise ConvergenceError(
+            f"series at w={w}, x={x}: the phases of its terms are known only to "
+            f"{phase_error:.2e}, above the tolerance {cfg.tol:.2e}")
+
+
 def zeta_series(r, w, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> complex:
-    """zeta_r(w; x) = sum C(n + r - 1, n) (n + x)^(-w) for x > 0.
+    """zeta_r(w; x) = sum C(n + r - 1, n) (n + x)^(-w) for finite x > 0.
 
     Integer order r <= 0 uses the terminating sum (any w) within the
     max_terms cap.  Otherwise the series requires Re(w) > r and is summed
-    with tail elimination; a ConvergenceError reports an unmet tolerance.
+    with tail elimination; a ConvergenceError reports an unmet tolerance,
+    or an |Im w| so large that the phases of the terms are below it.
     """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"series needs x > 0, got x={x}")
+    x = _finite_positive(x, "series")
     w = complex(w)
     k = _integer_order(r)
-    if k is not None and k <= 0:
+    terminating = k is not None and k <= 0
+    _require_resolvable_phase(w, x, min(-k, cfg.max_terms) if terminating else cfg.max_terms, cfg)
+    if terminating:
         total = 0j
         for n, h in enumerate(_terminating_coefficients(k, cfg)):
             total += h * cmath.exp(-w * math.log(n + x))
@@ -326,16 +347,14 @@ def raw_tail_bound(r, w_re: float, x: float, n_terms: int) -> float:
 
 
 def gamma_series(r, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:
-    """Gamma function of order r < 0 at x > 0 from the log-weighted series.
+    """Gamma function of order r < 0 at finite x > 0 from the log-weighted series.
 
     log Gamma_r(x) = -sum C(n + r - 1, n) log(n + x): a finite sum for
     integer order (within the max_terms cap), otherwise accelerated like
     the zeta series but with a log-carrying tail (each tail power is
     eliminated twice).  The tolerance applies to the log value.
     """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"gamma series needs x > 0, got x={x}")
+    x = _finite_positive(x, "gamma series")
     k = _integer_order(r)
     if k is not None:
         if k >= 0:
@@ -362,11 +381,9 @@ def gamma_integral(r, x: float, cfg: QuadSettings = DEFAULT_QUAD) -> float:
     cut at T with the dropped tail below a tenth of the budget.
     """
     rf = float(r)
-    x = float(x)
     if not rf < 0.0:
         raise DomainError(f"order must be negative, got {r!r}")
-    if not x > 0.0:
-        raise DomainError(f"gamma integral needs x > 0, got x={x}")
+    x = _finite_positive(x, "gamma integral")
     a = -rf
     tol = cfg.tol
     T = cfg.truncation_T if cfg.truncation_T is not None else exp_tail_cutoff(x, 1.0, tol)

@@ -166,23 +166,28 @@ class _Parser:
             total = cf.oplus(total, rhs)
 
     def _term(self) -> CountingFunction:
-        product = self._factor()
+        """A product of powers, parsed whole and then expanded in one call."""
+        factors = [self._factor()]
         while True:
             tok = self._peek()
             if tok is None or tok.kind != "*":
-                return product
+                break
             self._next()
-            product = cf.otimes(product, self._factor())
+            factors.append(self._factor())
+        if len(factors) == 1 and factors[0][1] == 1:
+            return factors[0][0]
+        return cf.tensor_product(factors)
 
-    def _factor(self) -> CountingFunction:
+    def _factor(self) -> tuple[CountingFunction, int]:
+        """A base and the tensor power it is raised to."""
         base, bare_u = self._base()
         tok = self._peek()
         if tok is None or tok.kind != "^":
-            return base
+            return base, 1
         self._next()
         exponent, exp_offset = self._exponent()
         if bare_u:
-            return cf.normalize([(exponent, 1)])
+            return cf.normalize([(exponent, 1)]), 1
         if exponent.denominator != 1 or exponent < 0:
             raise ParseError(
                 "only the bare variable u takes rational or negative exponents",
@@ -193,8 +198,8 @@ class _Parser:
                 f"exponent {k} exceeds the expansion cap {MAX_COMPOUND_EXPONENT}",
                 exp_offset)
         if k == 0:
-            return cf.ONE
-        return cf.tensor_power(base, k)
+            return cf.ONE, 1
+        return base, k
 
     def _base(self) -> tuple[CountingFunction, bool]:
         tok = self._next()

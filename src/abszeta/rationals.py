@@ -59,7 +59,7 @@ def canonical_terms(pairs: Iterable[tuple[object, object]],
     for k, v in pairs:
         k, v = as_rational(k), as_rational(v)
         acc[k] = acc[k] + v if k in acc else v
-    return tuple(sorted(((k, v) for k, v in acc.items() if v != 0),
+    return tuple(sorted([(k, v) for k, v in acc.items() if v != 0],
                         key=lambda p: p[0], reverse=descending))
 
 

@@ -82,7 +82,7 @@ class PowerProduct:
         return sum((e for _, e in self.factors), Fraction(0))
 
     def inverse(self) -> "PowerProduct":
-        return PowerProduct(tuple((r, -e) for r, e in self.factors), self.variable)
+        return PowerProduct(tuple([(r, -e) for r, e in self.factors]), self.variable)
 
     def pow_int(self, k: int) -> "PowerProduct":
         if not isinstance(k, int) or isinstance(k, bool):
@@ -154,12 +154,12 @@ def hurwitz_of(n: CountingFunction, variable: str = "s") -> HurwitzForm:
 
 def zeta_of(n: CountingFunction, variable: str = "s") -> PowerProduct:
     """Absolute zeta of a counting function: root a gets exponent -m(a)."""
-    return PowerProduct(tuple((a, -m) for a, m in reversed(n.terms)), variable)
+    return PowerProduct(tuple([(a, -m) for a, m in reversed(n.terms)]), variable)
 
 
 def counting_of_product(p: PowerProduct) -> CountingFunction:
     """Inverse of :func:`zeta_of`: recover the counting function from a product."""
-    return CountingFunction(tuple((r, -e) for r, e in reversed(p.factors)))
+    return CountingFunction(tuple([(r, -e) for r, e in reversed(p.factors)]))
 
 
 def _finite_complex(value, what: str) -> complex:
@@ -282,18 +282,19 @@ def check_functional_equation(p: PowerProduct, fe: FEParams) -> FEReport:
     The equation holds iff the map
     {center - root -> sign * exponent} equals the original factor map and
     the exponent sum is even (an odd sum would flip the overall sign of
-    the reflected product).  Requires integer exponents.
+    the reflected product).  Requires integer exponents.  The maps are
+    compared on integers: roots times L, the lcm of the denominators of
+    the roots and the center, and the exponents' numerators.
     """
     _require_integer_exponents(p, "functional-equation check")
-    original = p.factor_map()
-    transformed = {fe.center - r: fe.sign * e for r, e in p.factors}
-    mismatches = []
-    for root in sorted(set(original) | set(transformed)):
-        oe = original.get(root, Fraction(0))
-        te = transformed.get(root, Fraction(0))
-        if oe != te:
-            mismatches.append((root, oe, te))
-    parity = int(p.exponent_sum())
+    den = math.lcm(fe.center.denominator, *[r.denominator for r, _ in p.factors])
+    center = fe.center.numerator * (den // fe.center.denominator)
+    original = {r.numerator * (den // r.denominator): e.numerator for r, e in p.factors}
+    transformed = {center - t: fe.sign * e for t, e in original.items()}
+    mismatches = [(Fraction(t, den), Fraction(original.get(t, 0)), Fraction(transformed.get(t, 0)))
+                  for t in sorted(original.keys() | transformed.keys())
+                  if original.get(t, 0) != transformed.get(t, 0)]
+    parity = sum(original.values())
     holds = not mismatches and parity % 2 == 0
     return FEReport(holds=holds, center=fe.center, sign=fe.sign,
                     parity_sum=parity, mismatches=tuple(mismatches))

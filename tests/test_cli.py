@@ -413,6 +413,12 @@ def test_golden_output(argv, code, out, err):
     # a coefficient of 51200 digits, beyond what str(int) prints
     (("counting", "--expr", f"({'9' * 100})^512"), 3),
     (("check", "fe", "--expr", f"({'9' * 100})^512", "--center", "0", "--sign", "1"), 3),
+    # packed bits: a one-term power whose coefficient would reach 87 Mbit
+    (("counting", "--expr", f"(({'9' * 100})^512)^512"), 3),
+    # the series routes need a finite x
+    (("check", "thm2", "--r=-0.5", "--x", "inf"), 3),
+    (("gamma", "--order=-0.5", "--x", "inf"), 3),
+    (("gamma", "--order=-0.5", "--x", "inf", "--method", "integral"), 3),
 ])
 def test_exit_codes(argv, code):
     start = time.perf_counter()

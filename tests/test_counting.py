@@ -5,9 +5,13 @@ Claims covered:
 - direct sum is pointwise addition, tensor product convolves exponents
   (oracle: independent dict convolution, sympy expansion, and numeric
   evaluation homomorphisms);
-- tensor powers expand (u-1)^r correctly, and the closed-form binomial and
-  binary squaring agree with r - 1 repeated tensor products;
-- the expansion budget refuses oversized products before multiplying;
+- the integer kernel (packed when the exponent lattice is dense, term
+  pairs when it is sparse) matches the dict convolution on byte-boundary
+  coefficients, sparse lattices, coprime denominators, one term and zero;
+- tensor powers expand (u-1)^r correctly, and powers of one-, two- and
+  three-term bases, dense and sparse, agree with r - 1 repeated products;
+- both expansion budgets, packed bits and term pairs, refuse oversized
+  products before multiplying;
 - evaluation at real u > 1 and exact rational evaluation behave and
   reject out-of-domain points;
 - the operations form a commutative semiring (hypothesis property suite).
@@ -45,6 +49,23 @@ def to_sympy(n, u):
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 counting_fns = st.lists(st.tuples(rationals, rationals), max_size=5).map(cf.normalize)
+
+# inputs aimed at the integer kernel: coefficients at +-2^(8j) +- 1, so packed
+# slots and their products cross byte boundaries; exponents far apart (a sparse
+# lattice); pairwise coprime exponent denominators; single terms and zero
+byte_edges = st.builds(lambda j, s, t: s * 2 ** (8 * j) + t, st.integers(0, 5),
+                       st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+dense_runs = st.builds(
+    lambda start, den, cs: cf.normalize([(F(start + i, den), c) for i, c in enumerate(cs)]),
+    st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]), st.lists(byte_edges, min_size=1, max_size=9))
+sparse_lattices = st.lists(st.tuples(st.integers(-10 ** 9, 10 ** 9), byte_edges),
+                           min_size=3, max_size=6).map(cf.normalize)
+coprime_exponents = st.lists(
+    st.tuples(st.builds(F, st.integers(-30, 30), st.sampled_from([1, 7, 11, 13, 17])), rationals),
+    min_size=1, max_size=6).map(cf.normalize)
+one_terms = st.tuples(rationals, st.one_of(rationals, byte_edges)).map(lambda t: cf.normalize([t]))
+kernel_fns = st.one_of(dense_runs, sparse_lattices, coprime_exponents, one_terms,
+                       st.just(cf.ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -121,36 +142,69 @@ def _random_base(rng, k, rational):
         for e in rng.sample(pool, k))
 
 
+def _byte_edge_base(rng, k):
+    """k terms at adjacent exponents with coefficients +-2^(8j) +- 1."""
+    return cf.normalize((e, rng.choice([1, -1]) * 2 ** (8 * rng.randint(1, 3))
+                         + rng.choice([1, -1])) for e in range(k))
+
+
+def _sparse_base(rng, k):
+    """k terms spread over a lattice far wider than k slots per term."""
+    return cf.normalize((e, rng.choice([-2, -1, 1, 2]))
+                        for e in rng.sample([0, 1, 1000, 2 ** 40], k))
+
+
+def _repeated(base, r):
+    repeated = base
+    for _ in range(r - 1):
+        repeated = cf.otimes(repeated, base)
+    return repeated
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("rational", [False, True])
 def test_tensor_power_matches_repeated_otimes(k, rational):
-    """Closed form (two terms) and squaring (one or three) against r - 1 products."""
+    """One pow of the packed base (and, for three sparse terms, binary squaring)
+    against r - 1 products; two-term bases run to r = 64."""
     rng = random.Random(100 * k + rational)
     for r in (1, 2, 3, 5, 8, 13, 21, 32, 64):
-        base = _random_base(rng, k, rational)
-        assert len(base.terms) == k
-        repeated = base
-        for _ in range(r - 1):
-            repeated = cf.otimes(repeated, base)
-        assert cf.tensor_power(base, r) == repeated, (base, r)
+        bases = [_random_base(rng, k, rational), _byte_edge_base(rng, k)]
+        if k == 3 and r <= 13:
+            bases.append(_sparse_base(rng, k))
+        for base in bases:
+            assert len(base.terms) == k
+            assert cf.tensor_power(base, r) == _repeated(base, r), (base, r)
 
 
 def test_expansion_budget():
-    cap = cf.MAX_TERM_PAIRS
-    side = math.isqrt(cap) + 1
-    wide = cf.normalize((a, 1) for a in range(side))
+    """Packed bits bound the dense path and term pairs the sparse one; both
+    refuse before multiplying, r = 10^12 included, and Gm^722 still expands."""
     start = time.perf_counter()
-    with pytest.raises(ParameterRangeError, match="expansion budget"):
-        cf.otimes(wide, wide)
-    with pytest.raises(ParameterRangeError, match="expansion budget"):
-        cf.tensor_power(wide, 2)
-    largest = 2 * (math.isqrt(cap) - 1)  # (r // 2 + 1)^2 <= cap
-    with pytest.raises(ParameterRangeError, match="expansion budget"):
-        cf.tensor_power(cf.U_MINUS_ONE, largest + 2)
-    with pytest.raises(ParameterRangeError, match="expansion budget"):
+    # dense: (u + 1)^r packs r + 1 slots of about r bits each
+    with pytest.raises(ParameterRangeError, match="packed bits"):
+        cf.tensor_power(cf.normalize([(1, 1), (0, 1)]), 4096)
+    with pytest.raises(ParameterRangeError, match="packed bits"):
         cf.tensor_power(cf.U_MINUS_ONE, 10 ** 12)
+    # a one-term base whose coefficient, or denominator, grows without bound
+    with pytest.raises(ParameterRangeError, match="packed bits"):
+        cf.tensor_power(cf.normalize([(0, 10 ** 100 - 1)]), 512 * 512)
+    with pytest.raises(ParameterRangeError, match="packed bits"):
+        cf.tensor_power(cf.normalize([(1, F(1, 3))]), 10 ** 12)
+    dense = cf.normalize((a, 2 ** 4100) for a in range(1024))  # 2047 slots of 8.2 kbit
+    with pytest.raises(ParameterRangeError, match="packed bits"):
+        cf.otimes(dense, dense)
+    # sparse: term pairs, and the bits of the multiplicities they multiply
+    side = math.isqrt(cf.MAX_TERM_PAIRS) + 1
+    sparse = cf.normalize((a * a, 1) for a in range(side))
+    with pytest.raises(ParameterRangeError, match="term pairs"):
+        cf.otimes(sparse, sparse)
+    with pytest.raises(ParameterRangeError, match="term pairs"):
+        cf.tensor_power(sparse, 2)
+    heavy = cf.normalize([(1000, 2 ** (2 ** 22)), (1, 1), (0, 1)])
+    with pytest.raises(ParameterRangeError, match="packed bits"):
+        cf.tensor_power(heavy, 2)
     assert time.perf_counter() - start < 1.0
-    assert len(cf.tensor_power(cf.U_MINUS_ONE, largest).terms) == largest + 1
+    assert len(cf.tensor_power(cf.U_MINUS_ONE, 722).terms) == 723
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.0, F(3, 2)])
@@ -166,10 +220,10 @@ def test_operator_sugar():
     assert gm ** 3 == cf.tensor_power(gm, 3)
 
 
-@settings(max_examples=120)
-@given(counting_fns, counting_fns)
+@settings(max_examples=250)
+@given(counting_fns | kernel_fns, counting_fns | kernel_fns)
 def test_otimes_matches_dict_convolution_oracle(n1, n2):
-    assert cf.otimes(n1, n2).as_dict() == oracle_otimes(n1.terms, n2.terms)
+    assert cf.otimes(n1, n2) == cf.normalize(oracle_otimes(n1.terms, n2.terms).items())
 
 
 @settings(max_examples=60)

@@ -8,7 +8,9 @@ Claims covered:
 - reflecting the gamma product across -(total period) reproduces it with
   alternating exponent sign (checked numerically too);
 - the subset-sum recurrence of the multi-period gamma equals the 2^r
-  subset enumeration (test-only oracle), coinciding sums included;
+  subset enumeration (test-only oracle), coinciding sums included, and
+  both sines, reflected on integer subset sums, equal that enumeration
+  reflected in Fractions;
 - the tensor-power functional-equation check passes for r = 1..8;
 - parameter validation of period vectors and order specs, and the rank
   and subset-step budgets.
@@ -31,6 +33,7 @@ from abszeta.gammasine import (
     MAX_SUBSET_STEPS,
     MultiGammaSpec,
     PeriodVector,
+    _sine,
     as_period_vector,
     multiperiod_gamma,
     multiperiod_sine,
@@ -134,8 +137,18 @@ def subset_oracle(periods):
         variable="x")
 
 
+def sine_oracle(periods):
+    """gamma(x)^(-1) * gamma(-|w| - x)^((-1)^r) from the subset oracle, in Fractions."""
+    g = subset_oracle(periods)
+    center, sign = -sum(periods, F(0)), (-1) ** len(periods)
+    return normalize_power_product(
+        [(root, -e) for root, e in g.factors]
+        + [(center - root, sign * e) for root, e in g.factors], variable="x")
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_multiperiod_gamma_matches_subset_enumeration(seed):
+    """The gamma, and both sines reflected on integer sums, against the enumeration."""
     rng = random.Random(seed)
     r = seed + 1
     # even seeds draw from a few small values, so many subset sums coincide
@@ -144,6 +157,19 @@ def test_multiperiod_gamma_matches_subset_enumeration(seed):
                     for _ in range(r))
     spec = MultiGammaSpec(-r, PeriodVector(periods))
     assert multiperiod_gamma(spec) == subset_oracle(periods), periods
+    assert multiperiod_sine(spec) == sine_oracle(periods), periods
+    assert neg_sine(r) == sine_oracle((F(1),) * r)
+
+
+def test_sine_reflection_keeps_keys_the_gamma_lacks():
+    """The integer reflection on an exponent map whose keys are not symmetric."""
+    exponents, total, den = {0: -1, 1: 2, 3: -1}, 5, 2
+    for r, sign in ((3, -1), (4, 1)):
+        expected = normalize_power_product(
+            [(F(-t, den), -e) for t, e in exponents.items()]
+            + [(F(t - total, den), sign * e) for t, e in exponents.items()], variable="x")
+        assert _sine(exponents, total, den, r) == expected
+        assert not expected.is_one()
 
 
 @settings(max_examples=60)

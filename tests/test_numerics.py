@@ -20,6 +20,9 @@ Claims covered:
   within tolerance of mpmath (run live) or the call raises
   ConvergenceError, the last checkpoint still accepts one estimate, and
   the term budget and float overflow end in package errors;
+- the series routes and the gamma integral refuse a non-finite x, and
+  the zeta series refuses an |Im w| whose phases fall below the
+  tolerance;
 - the raw tail bound really bounds the observed remainder;
 - gamma via series, via integral, and via the exact product all agree;
 - kernel quadrature matches closed forms; log-zeta integral matches the
@@ -254,6 +257,26 @@ def test_zeta_series_domain_errors():
         zeta_series(-0.5, 2.0, -1.0)
     with pytest.raises(DomainError):
         zeta_series(-0.5, -0.5, 1.0)  # Re(w) <= r: divergent
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_series_routes_need_a_finite_point(x):
+    for call in (lambda: zeta_series(-0.5, 2.0, x), lambda: zeta_series(-2, 2.0, x),
+                 lambda: gamma_series(-0.5, x), lambda: gamma_series(-2, x),
+                 lambda: vanishing_check(-0.5, 0, x), lambda: gamma_integral(-0.5, x)):
+        with pytest.raises(DomainError, match="finite x > 0"):
+            call()
+
+
+def test_zeta_series_refuses_unresolvable_phases():
+    """eps |Im w| log(max_terms + x) above the tolerance: the phases are noise."""
+    for order in (-0.5, -2):
+        with pytest.raises(ConvergenceError, match="phases"):
+            zeta_series(order, 1 + 1e300j, 1.0)
+    with pytest.raises(ConvergenceError, match="phases"):
+        zeta_series(-0.5, 1 + 1e7j, 1.0)  # 2.2e-16 * 1e7 * log(300001) = 2.8e-8
+    zeta_series(-0.5, 1 + 1e7j, 1.0, SeriesSettings(tol=1e-6))  # within a looser tolerance
+    zeta_series(-0.5, 1 + 3j, 1.0)  # numeric_grid's range of |Im w|
 
 
 def test_zeta_series_reports_starvation_honestly():
