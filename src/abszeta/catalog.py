@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -35,6 +34,7 @@ from . import counting as cf
 from .counting import CountingFunction
 from .errors import NoFunctionalEquationError, ParameterRangeError
 from .gammasine import MAX_PERIODS, PeriodVector
+from .reports import Record
 from .symzeta import FEParams, PowerProduct, zeta_of
 
 #: Rank budget: the largest total period |w| of a scheme.  A catalog
@@ -50,12 +50,12 @@ GL = "GL"
 CUSTOM = "Custom"
 
 
-@dataclass(frozen=True)
-class SchemeKind:
+class SchemeKind(Record):
     """One row of the scheme table: the name's regex (group 1 is r) and
     template, the least r (None: no r), and d(r) and periods(r), which give
     N(u) = u^d * prod over the periods w of (1 - u^-w)."""
 
+    __slots__ = ("pattern", "template", "min_r", "dimension", "periods")
     pattern: re.Pattern
     template: str
     min_r: int | None
@@ -75,8 +75,7 @@ SCHEMES: dict[str, SchemeKind] = {
 }
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
+class SchemeSpec(Record):
     """A scheme the package knows how to count.
 
     ``r`` is the rank parameter for the parametric kinds (tensor power or
@@ -85,22 +84,25 @@ class SchemeSpec:
     other properties are read, against the kind's row in :data:`SCHEMES`.
     """
 
-    kind: str
-    r: int | None = None
-    custom_counting: CountingFunction | None = None
+    __slots__ = ("kind", "r", "custom_counting")
 
-    def __post_init__(self):
-        row = SCHEMES.get(self.kind)
+    def __init__(self, kind: str, r: int | None = None,
+                 custom_counting: CountingFunction | None = None):
+        row = SCHEMES.get(kind)
         if row and row.min_r is not None:
-            if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < row.min_r:
+            if not isinstance(r, int) or isinstance(r, bool) or r < row.min_r:
                 raise ParameterRangeError(
-                    f"{row.template.format(r='r')} needs an integer r >= {row.min_r}, got {self.r!r}")
+                    f"{row.template.format(r='r')} needs an integer r >= {row.min_r}, got {r!r}")
             # |w| >= r for every parametric kind, so a larger r is refused unlisted
-            if self.r > MAX_TOTAL_PERIOD or sum(row.periods(self.r)) > MAX_TOTAL_PERIOD:
+            if r > MAX_TOTAL_PERIOD or sum(row.periods(r)) > MAX_TOTAL_PERIOD:
                 raise ParameterRangeError(
                     f"{row.template.format(r='r')} exceeds the rank budget: "
                     f"total period above {MAX_TOTAL_PERIOD}")
-        object.__setattr__(self, "_row", row)
+        super().__init__(kind, r, custom_counting)
+
+    @property
+    def _row(self) -> SchemeKind | None:
+        return SCHEMES.get(self.kind)
 
     @property
     def name(self) -> str:

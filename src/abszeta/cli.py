@@ -21,7 +21,6 @@ bad ranges, violated preconditions), 4 convergence failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -169,6 +168,7 @@ def _fe_report_text(rep: FEReport) -> str:
 
 def _emit(args, doc: dict, text: str) -> int:
     if args.json:
+        import json  # only --json needs it; text output starts without it
         print(json.dumps(doc, separators=(",", ":")))
     else:
         print(text)
@@ -282,7 +282,10 @@ def _cmd_check_fe(args) -> int:
         sign = args.sign.lstrip("+")
         if sign not in ("1", "-1"):
             raise _UsageError(f"--sign must be +1 or -1, got {args.sign!r}")
-        fe = FEParams(center=Fraction(args.center), sign=int(sign))
+        try:
+            fe = FEParams(center=args.center, sign=int(sign))
+        except ValueError:  # as_rational refused the literal
+            raise _UsageError(f"--center must be a rational number, got {args.center!r}") from None
     rep = check_functional_equation(product, fe)
     return _emit(args, fe_report_doc(rep), _fe_report_text(rep))
 
@@ -472,6 +475,7 @@ def run(argv: list[str] | None = None) -> int:
 def _report_error(args, kind: str, message: str) -> None:
     print(f"abszeta: error: {message}", file=sys.stderr)
     if getattr(args, "json", False):
+        import json
         doc = {"kind": "error", "error": kind, "message": message}
         print(json.dumps(doc, separators=(",", ":")), file=sys.stderr)
 

@@ -17,21 +17,21 @@ multiplied.  :data:`MAX_PACKED_BITS` caps the bits of a packed result
 (its slots times their width) and of its common denominator; the pairs
 of a sparse product are charged the size of one packed product of equal
 Karatsuba cost.  :data:`MAX_TERM_PAIRS` caps the term pairs of a sparse
-product.  A product over either raises ParameterRangeError.  A product
-at the packed-bit cap, such as ``(u+1)^2894`` or two dense 4-Mbit
-operands, takes 0.8 to 1.7 s on a shared 2-vCPU x86 host with
-Python 3.11, most of it in the one big multiply.
+product.  A product over either raises ParameterRangeError.  The largest
+packed power of u + 1, ``(u+1)^2046`` at 4.19 Mbit, takes 0.4 to 0.5 s
+on a shared 2-vCPU x86 host with Python 3.11, most of it in the one
+big-integer ``pow``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import DomainError, ParameterRangeError
 from .rationals import as_rational, canonical_terms, qstr, signed_sum
+from .reports import Record
 
 TermPair = Tuple[Fraction, Fraction]
 
@@ -40,13 +40,12 @@ TermPair = Tuple[Fraction, Fraction]
 #: cap takes about 0.2 s.
 MAX_TERM_PAIRS = 2 ** 17
 #: Expansion budget of a packed product: the most bits of its result.
-MAX_PACKED_BITS = 2 ** 23
+MAX_PACKED_BITS = 2 ** 22
 #: A factor is packed when it spans at most this many lattice slots per term.
 DENSE_SLOTS_PER_TERM = 8
 
 
-@dataclass(frozen=True)
-class CountingFunction:
+class CountingFunction(Record):
     """Immutable finite map exponent -> multiplicity, exponent-descending.
 
     Instances should be built through :func:`normalize` (or the module
@@ -54,7 +53,10 @@ class CountingFunction:
     ordering and absence of zero multiplicities.
     """
 
-    terms: tuple[TermPair, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[TermPair, ...]):
+        object.__setattr__(self, "terms", terms)
 
     def as_dict(self) -> dict[Fraction, Fraction]:
         return dict(self.terms)

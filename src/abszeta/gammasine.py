@@ -26,20 +26,19 @@ recurrence, which periods with many distinct subset sums reach first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from . import counting
 from .errors import ParameterRangeError
 from .rationals import as_rational, qstr
-from .reports import CheckReport
+from .reports import CheckReport, Record
 from .symzeta import (FEParams, HurwitzForm, PowerProduct, check_functional_equation,
                       normalize_hurwitz, zeta_of)
 
 #: Rank budget: the most periods of a vector, and the largest order
 #: magnitude r.  Gm^722, the largest catalog product it admits, packs into
-#: 0.53 Mbit, well within ``counting.MAX_PACKED_BITS``.
+#: 0.53 Mbit, an eighth of ``counting.MAX_PACKED_BITS`` (2^22 bits).
 MAX_PERIODS = 722
 #: Budget on the subset-sum recurrence of :func:`multiperiod_gamma`: r
 #: periods with at most k distinct subset sums take at most r * k steps.
@@ -47,15 +46,13 @@ MAX_PERIODS = 722
 MAX_SUBSET_STEPS = MAX_PERIODS * (MAX_PERIODS + 1)
 
 
-@dataclass(frozen=True)
-class PeriodVector:
+class PeriodVector(Record):
     """Nonempty tuple of positive rational periods."""
 
-    periods: tuple[Fraction, ...]
+    __slots__ = ("periods",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "periods",
-                           tuple([as_rational(p) for p in self.periods]))
+    def __init__(self, periods: tuple[Fraction, ...]):
+        object.__setattr__(self, "periods", tuple([as_rational(p) for p in periods]))
         if not self.periods:
             raise ParameterRangeError("a period vector needs at least one period")
         if len(self.periods) > MAX_PERIODS:
@@ -93,21 +90,19 @@ def as_period_vector(periods: Iterable[object] | PeriodVector) -> PeriodVector:
     return PeriodVector(tuple(periods))
 
 
-@dataclass(frozen=True)
-class MultiGammaSpec:
+class MultiGammaSpec(Record):
     """Order -r together with r positive periods."""
 
-    order: int
-    periods: PeriodVector
+    __slots__ = ("order", "periods")
 
-    def __post_init__(self):
-        object.__setattr__(self, "periods", as_period_vector(self.periods))
-        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order >= 0:
-            raise ParameterRangeError(f"order must be a negative integer, got {self.order!r}")
-        if -self.order != len(self.periods):
+    def __init__(self, order: int, periods: PeriodVector):
+        periods = as_period_vector(periods)
+        if not isinstance(order, int) or isinstance(order, bool) or order >= 0:
+            raise ParameterRangeError(f"order must be a negative integer, got {order!r}")
+        if -order != len(periods):
             raise ParameterRangeError(
-                f"order {self.order} needs exactly {-self.order} periods, "
-                f"got {len(self.periods)}")
+                f"order {order} needs exactly {-order} periods, got {len(periods)}")
+        super().__init__(order, periods)
 
 
 def _require_positive_order_magnitude(r: int) -> None:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice
 
@@ -47,6 +46,7 @@ from .errors import (ConvergenceError, DomainError, ParameterRangeError, PoleErr
                      PreconditionError)
 from .quadrature import QuadSettings, exp_tail_cutoff, integrate
 from .rationals import as_rational
+from .reports import Record
 
 #: Even-index Bernoulli numbers B_2 .. B_12 (exact), used by the
 #: Euler-Maclaurin expansions and their truncation bounds.
@@ -66,22 +66,20 @@ BERNOULLI_EVEN: dict[int, Fraction] = {
 MAX_SERIES_TERMS = 2 ** 22
 
 
-@dataclass(frozen=True)
-class SeriesSettings:
+class SeriesSettings(Record):
     """Error budget and term cap for the series engine."""
 
-    tol: float = 1e-9
-    max_terms: int = 300_000
+    __slots__ = ("tol", "max_terms")
 
-    def __post_init__(self):
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise DomainError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-        if self.max_terms > MAX_SERIES_TERMS:
+    def __init__(self, tol: float = 1e-9, max_terms: int = 300_000):
+        if not (tol > 0.0 and math.isfinite(tol)):
+            raise DomainError(f"tolerance must be positive and finite, got {tol}")
+        if max_terms < 1:
+            raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+        if max_terms > MAX_SERIES_TERMS:
             raise ParameterRangeError(
-                f"max_terms {self.max_terms} is above the series budget of "
-                f"{MAX_SERIES_TERMS} terms")
+                f"max_terms {max_terms} is above the series budget of {MAX_SERIES_TERMS} terms")
+        super().__init__(tol, max_terms)
 
 
 DEFAULT_SERIES = SeriesSettings()
@@ -638,6 +636,8 @@ def euler_reflection_check(s: float) -> tuple[float, float]:
     compare with the sine side.  Integer s sits on a pole.
     """
     s = float(s)
+    if not math.isfinite(s):
+        raise DomainError(f"reflection identity needs a finite s, got s = {s}")
     if s == math.floor(s):
         raise DomainError(f"reflection identity has poles at integers, got s = {s}")
     left_log = _log_gamma_one_analytic(s + 1.0) + _log_gamma_one_analytic(-s)

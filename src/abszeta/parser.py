@@ -21,7 +21,6 @@ expansion.  A Unicode minus sign is accepted as '-'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import counting as cf
@@ -64,11 +63,13 @@ def _int_literal(digits: str, offset: int) -> int:
         raise ParseError(f"numeric literal of {len(digits)} digits is too long", offset) from None
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # 'num', 'u', '+', '-', '*', '^', '(', ')'
-    value: Fraction | None
-    offset: int
+    __slots__ = ("kind", "value", "offset")
+
+    def __init__(self, kind: str, value: Fraction | None, offset: int):
+        self.kind = kind  # 'num', 'u', '+', '-', '*', '^', '(', ')'
+        self.value = value
+        self.offset = offset
 
 
 def _tokenize(text: str) -> list[_Token]:

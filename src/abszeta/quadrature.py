@@ -16,10 +16,10 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError
+from .reports import Record
 
 #: QUADPACK's qk15 constants: the positive Kronrod abscissae on [-1, 1]
 #: (X2, X4, X6 and the centre are the 7-point Gauss nodes), the Kronrod
@@ -41,8 +41,7 @@ G2, G4, G6, G8 = (
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class QuadSettings:
+class QuadSettings(Record):
     """Error budget and subdivision limit for one integration task.
 
     ``truncation_T`` optionally pins the upper cutoff of infinite-range
@@ -50,19 +49,18 @@ class QuadSettings:
     bound.
     """
 
-    tol: float = 1e-10
-    max_subdivisions: int = 200
-    truncation_T: float | None = None
+    __slots__ = ("tol", "max_subdivisions", "truncation_T")
 
-    def __post_init__(self):
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise DomainError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError(f"need at least one subdivision, got {self.max_subdivisions}")
-        if self.truncation_T is not None and not (
-                self.truncation_T > 0.0 and math.isfinite(self.truncation_T)):
+    def __init__(self, tol: float = 1e-10, max_subdivisions: int = 200,
+                 truncation_T: float | None = None):
+        if not (tol > 0.0 and math.isfinite(tol)):
+            raise DomainError(f"tolerance must be positive and finite, got {tol}")
+        if max_subdivisions < 1:
+            raise DomainError(f"need at least one subdivision, got {max_subdivisions}")
+        if truncation_T is not None and not (truncation_T > 0.0 and math.isfinite(truncation_T)):
             raise DomainError(
-                f"truncation cutoff must be positive and finite, got {self.truncation_T}")
+                f"truncation cutoff must be positive and finite, got {truncation_T}")
+        super().__init__(tol, max_subdivisions, truncation_T)
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:

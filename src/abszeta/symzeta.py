@@ -15,13 +15,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .counting import CountingFunction
 from .errors import BranchCutWarning, DomainError, PoleError, PreconditionError
 from .rationals import as_rational, canonical_terms, qstr, signed_sum
+from .reports import Record
 
 ShiftPair = Tuple[Fraction, Fraction]
 FactorPair = Tuple[Fraction, Fraction]
@@ -36,8 +36,7 @@ def _paren(variable: str, root: Fraction) -> str:
     return f"({variable}+{qstr(-root)})"
 
 
-@dataclass(frozen=True)
-class HurwitzForm:
+class HurwitzForm(Record):
     """Finite sum of shifted inverse powers: sum coeff * (variable - shift)^(-w).
 
     Terms are kept shift-descending with nonzero coefficients; ``variable``
@@ -45,8 +44,11 @@ class HurwitzForm:
     objects, ``x`` for gamma-side ones).
     """
 
-    terms: tuple[ShiftPair, ...]
-    variable: str = "s"
+    __slots__ = ("terms", "variable")
+
+    def __init__(self, terms: tuple[ShiftPair, ...], variable: str = "s"):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "variable", variable)
 
     def as_dict(self) -> dict[Fraction, Fraction]:
         return dict(self.terms)
@@ -58,16 +60,18 @@ class HurwitzForm:
         return signed_sum(self.terms, lambda a: f"{_paren(self.variable, a)}^-w")
 
 
-@dataclass(frozen=True)
-class PowerProduct:
+class PowerProduct(Record):
     """Finite product of rational powers of linear factors.
 
     ``factors`` maps roots to exponents, root-ascending with nonzero
     exponents; the empty product is the constant 1.
     """
 
-    factors: tuple[FactorPair, ...]
-    variable: str = "s"
+    __slots__ = ("factors", "variable")
+
+    def __init__(self, factors: tuple[FactorPair, ...], variable: str = "s"):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "variable", variable)
 
     def factor_map(self) -> dict[Fraction, Fraction]:
         return dict(self.factors)
@@ -107,21 +111,19 @@ class PowerProduct:
         return " * ".join(f"{_paren(self.variable, r)}^{qstr(e)}" for r, e in self.factors)
 
 
-@dataclass(frozen=True)
-class FEParams:
+class FEParams(Record):
     """Functional-equation data: expected center c and sign eps = +-1."""
 
-    center: Fraction
-    sign: int
+    __slots__ = ("center", "sign")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_rational(self.center))
-        if self.sign not in (1, -1):
-            raise DomainError(f"functional-equation sign must be +1 or -1, got {self.sign!r}")
+    def __init__(self, center: Fraction, sign: int):
+        center = as_rational(center)
+        if sign not in (1, -1):
+            raise DomainError(f"functional-equation sign must be +1 or -1, got {sign!r}")
+        super().__init__(center, sign)
 
 
-@dataclass(frozen=True)
-class FEReport:
+class FEReport(Record):
     """Outcome of an exact functional-equation check.
 
     ``holds`` is True when the reflected factor map reproduces the original
@@ -130,11 +132,11 @@ class FEReport:
     triples where the two maps differ.
     """
 
-    holds: bool
-    center: Fraction
-    sign: int
-    parity_sum: int
-    mismatches: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    __slots__ = ("holds", "center", "sign", "parity_sum", "mismatches")
+
+    def __init__(self, holds: bool, center: Fraction, sign: int, parity_sum: int,
+                 mismatches: tuple[tuple[Fraction, Fraction, Fraction], ...]):
+        super().__init__(holds, center, sign, parity_sum, mismatches)
 
 
 def normalize_hurwitz(pairs: Iterable[tuple[object, object]], variable: str = "s") -> HurwitzForm:

@@ -35,6 +35,7 @@ from abszeta.symzeta import zeta_of
 from conftest import run_cli
 
 OVERLONG = "9" * 5000  # beyond the digits int() converts
+BAD_CENTERS = ("nan", "inf", "abc", "1/0", "", OVERLONG)
 
 RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
 SIGNED_INT = {"type": "string", "pattern": r"^-?\d+$"}
@@ -419,6 +420,14 @@ def test_golden_output(argv, code, out, err):
     (("check", "thm2", "--r=-0.5", "--x", "inf"), 3),
     (("gamma", "--order=-0.5", "--x", "inf"), 3),
     (("gamma", "--order=-0.5", "--x", "inf", "--method", "integral"), 3),
+    # the reflection check needs a finite s
+    (("check", "reflection", "--s=nan"), 3),
+    (("check", "reflection", "--s=inf"), 3),
+    (("check", "reflection", "--s=-inf"), 3),
+    (("check", "reflection", "--s=1e400"), 3),
+    # --center must be a rational literal
+    *[(("check", "fe", "--expr", "u-1", "--center", center, "--sign", "1"), 1)
+      for center in BAD_CENTERS],
 ])
 def test_exit_codes(argv, code):
     start = time.perf_counter()
@@ -429,6 +438,13 @@ def test_exit_codes(argv, code):
     if code in (2, 3, 4):
         assert out == ""
         assert err.startswith("abszeta: error:")
+
+
+@pytest.mark.parametrize("center", BAD_CENTERS)
+def test_bad_center_is_one_usage_line(center):
+    code, out, err = run_cli("check", "fe", "--expr", "u-1", "--center", center, "--sign", "1")
+    assert (code, out) == (1, "")
+    assert err == f"abszeta: error: --center must be a rational number, got {center!r}\n"
 
 
 def test_budget_errors_name_their_limit():
@@ -508,6 +524,37 @@ for argv in [("gamma", "--order=-1.5", "--x", "2", "--method", "integral"),
     run(*argv)
 print(loaded())
 """
+
+
+STARTUP_PROBE = """
+import contextlib, io, sys
+SLOW = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+preloaded = {m for m in SLOW if m in sys.modules}
+import abszeta, abszeta.cli
+
+def loaded():
+    return sorted(m for m in SLOW if m in sys.modules and m not in preloaded)
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert abszeta.cli.run(list(argv)) == 0, argv
+
+print(sorted(preloaded), loaded())
+run("zeta", "--scheme", "SL(3)")
+run("catalog")
+print(loaded())
+run("catalog", "--json")
+print(loaded())
+"""
+
+
+def test_cli_start_loads_no_code_generation_or_json():
+    """Import and the text commands load neither ``dataclasses`` (nor what it
+    pulls in: inspect, ast, dis, tokenize) nor ``json``; ``--json`` loads json."""
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE],
+                          capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] []\n[]\n['json']\n"
 
 
 def test_symbolic_commands_and_quadrature_load_no_numeric_stack():

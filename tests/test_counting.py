@@ -207,6 +207,21 @@ def test_expansion_budget():
     assert len(cf.tensor_power(cf.U_MINUS_ONE, 722).terms) == 723
 
 
+def test_largest_packed_power_of_u_plus_one():
+    """(u + 1)^2046 packs 2047 slots of 256 bytes, 4192256 bits, just within
+    MAX_PACKED_BITS = 2^22; (u + 1)^2047 needs 2048 slots of 257 bytes and is
+    refused before anything is multiplied."""
+    assert cf.MAX_PACKED_BITS == 2 ** 22
+    base = cf.normalize([(1, 1), (0, 1)])
+    power = cf.tensor_power(base, 2046)
+    assert len(power.terms) == 2047
+    assert power.multiplicity(1023) == math.comb(2046, 1023)
+    start = time.perf_counter()
+    with pytest.raises(ParameterRangeError, match="4194304 packed bits"):
+        cf.tensor_power(base, 2047)
+    assert time.perf_counter() - start < 0.1
+
+
 @pytest.mark.parametrize("bad", [0, -1, 2.0, F(3, 2)])
 def test_tensor_power_rejects_bad_exponent(bad):
     with pytest.raises(ParameterRangeError):

@@ -1,0 +1,146 @@
+"""The package's immutable records behave as frozen value types.
+
+Claims covered, for every public record:
+- equal field values compare equal and hash equal, the hash being that of
+  the field tuple in order; records of different classes are never equal,
+  even with equal field values;
+- positional and keyword construction agree, and defaults apply;
+- assigning or deleting an attribute raises AttributeError;
+- the repr is ``Name(field=value, ...)``, field by field;
+- the validation done at construction raises the same errors as before.
+"""
+
+from __future__ import annotations
+
+import copy
+from fractions import Fraction as F
+
+import pytest
+
+import abszeta as az
+from abszeta.errors import DomainError, ParameterRangeError
+
+N = az.normalize([(2, 1), (0, -1)])
+TERMS = ((F(1), F(2)),)
+
+#: (class, positional fields, keyword fields, repr of the instance)
+RECORDS = [
+    (az.CountingFunction, (N.terms,), {"terms": N.terms},
+     "CountingFunction(terms=((Fraction(2, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(-1, 1))))"),
+    (az.HurwitzForm, (TERMS, "x"), {"terms": TERMS, "variable": "x"},
+     "HurwitzForm(terms=((Fraction(1, 1), Fraction(2, 1)),), variable='x')"),
+    (az.PowerProduct, (TERMS, "s"), {"factors": TERMS, "variable": "s"},
+     "PowerProduct(factors=((Fraction(1, 1), Fraction(2, 1)),), variable='s')"),
+    (az.FEParams, (F(3, 2), -1), {"center": F(3, 2), "sign": -1},
+     "FEParams(center=Fraction(3, 2), sign=-1)"),
+    (az.FEReport, (True, F(1), 1, 0, ()),
+     {"holds": True, "center": F(1), "sign": 1, "parity_sum": 0, "mismatches": ()},
+     "FEReport(holds=True, center=Fraction(1, 1), sign=1, parity_sum=0, mismatches=())"),
+    (az.CheckReport, ("n", True, 1.0, 0.5, 1e-9, "d"),
+     {"name": "n", "passed": True, "value": 1.0, "expected": 0.5, "tolerance": 1e-9,
+      "detail": "d"},
+     "CheckReport(name='n', passed=True, value=1.0, expected=0.5, tolerance=1e-09, "
+     "detail='d')"),
+    (az.PeriodVector, ((F(1), F(1, 2)),), {"periods": (F(1), F(1, 2))},
+     "PeriodVector(periods=(Fraction(1, 1), Fraction(1, 2)))"),
+    (az.MultiGammaSpec, (-2, az.PeriodVector((F(1), F(2)))),
+     {"order": -2, "periods": az.PeriodVector((F(1), F(2)))},
+     "MultiGammaSpec(order=-2, periods=PeriodVector(periods=(Fraction(1, 1), "
+     "Fraction(2, 1))))"),
+    (az.SchemeSpec, ("SL", 3, None), {"kind": "SL", "r": 3, "custom_counting": None},
+     "SchemeSpec(kind='SL', r=3, custom_counting=None)"),
+    (az.SeriesSettings, (1e-8, 1000), {"tol": 1e-8, "max_terms": 1000},
+     "SeriesSettings(tol=1e-08, max_terms=1000)"),
+    (az.QuadSettings, (1e-8, 50, 5.0), {"tol": 1e-8, "max_subdivisions": 50, "truncation_T": 5.0},
+     "QuadSettings(tol=1e-08, max_subdivisions=50, truncation_T=5.0)"),
+]
+IDS = [row[0].__name__ for row in RECORDS]
+
+
+@pytest.mark.parametrize("cls,args,kwargs,text", RECORDS, ids=IDS)
+def test_value_semantics(cls, args, kwargs, text):
+    a, b = cls(*args), cls(**kwargs)
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(tuple(kwargs.values()))
+    assert tuple(getattr(a, name) for name in kwargs) == tuple(kwargs.values())
+    assert repr(a) == repr(b) == text
+    assert a != object() and a != tuple(kwargs.values())
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+
+
+@pytest.mark.parametrize("cls,args,kwargs,text", RECORDS, ids=IDS)
+def test_immutable(cls, args, kwargs, text):
+    a = cls(*args)
+    for name in kwargs:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == cls(**kwargs)
+
+
+def test_different_classes_are_never_equal():
+    assert az.HurwitzForm(TERMS, "s") != az.PowerProduct(TERMS, "s")
+    assert az.CountingFunction(TERMS) != az.HurwitzForm(TERMS)
+    assert az.SeriesSettings(1e-8, 200) != az.QuadSettings(1e-8, 200, None)
+    assert az.HurwitzForm(TERMS, "s") != az.HurwitzForm(TERMS, "x")
+    assert len({az.HurwitzForm(TERMS), az.PowerProduct(TERMS), az.HurwitzForm(TERMS)}) == 2
+
+
+def test_defaults():
+    assert az.HurwitzForm(TERMS).variable == "s"
+    assert az.PowerProduct(TERMS).variable == "s"
+    assert az.CheckReport("n", True, 1.0, 1.0, 0.0).detail == ""
+    assert az.SchemeSpec("Gm") == az.SchemeSpec("Gm", None, None) == az.gm()
+    assert az.SeriesSettings() == az.SeriesSettings(1e-9, 300_000)
+    assert az.QuadSettings() == az.QuadSettings(1e-10, 200, None)
+
+
+def test_construction_coerces():
+    assert az.FEParams("3/2", 1).center == F(3, 2)
+    assert az.FEParams(2, 1).center == F(2) and type(az.FEParams(2, 1).center) is F
+    assert az.PeriodVector([1, "1/2"]).periods == (F(1), F(1, 2))
+    spec = az.MultiGammaSpec(order=-2, periods=(1, 2))
+    assert spec.periods == az.PeriodVector((F(1), F(2)))
+    custom = az.custom(N)
+    assert custom.custom_counting == N and custom.name == "Custom"
+    assert repr(custom) == ("SchemeSpec(kind='Custom', r=None, custom_counting="
+                            f"{N!r})")
+    assert (az.sl(3).name, az.sl(3).dimension, az.sl(3).rank) == ("SL(3)", 8, 2)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: az.FEParams(0, 2), DomainError, "functional-equation sign must be +1 or -1, got 2"),
+    (lambda: az.SchemeSpec("SL", 1), ParameterRangeError, "SL(r) needs an integer r >= 2, got 1"),
+    (lambda: az.SchemeSpec("SL", True), ParameterRangeError,
+     "SL(r) needs an integer r >= 2, got True"),
+    (lambda: az.SchemeSpec("GL", None), ParameterRangeError,
+     "GL(r) needs an integer r >= 1, got None"),
+    (lambda: az.sl(723), ParameterRangeError,
+     "SL(r) exceeds the rank budget: total period above 722"),
+    (lambda: az.PeriodVector(()), ParameterRangeError, "a period vector needs at least one period"),
+    (lambda: az.PeriodVector((0,)), ParameterRangeError, "periods must be positive, got 0"),
+    (lambda: az.PeriodVector((1,) * 723), ParameterRangeError,
+     "at most 722 periods supported (the rank budget)"),
+    (lambda: az.PeriodVector((1.5,)), TypeError, "expected int, str, or Fraction, got float"),
+    (lambda: az.MultiGammaSpec(1, (1,)), ParameterRangeError,
+     "order must be a negative integer, got 1"),
+    (lambda: az.MultiGammaSpec(-2, (1,)), ParameterRangeError,
+     "order -2 needs exactly 2 periods, got 1"),
+    (lambda: az.SeriesSettings(tol=0), DomainError, "tolerance must be positive and finite, got 0"),
+    (lambda: az.SeriesSettings(max_terms=0), DomainError, "max_terms must be >= 1, got 0"),
+    (lambda: az.SeriesSettings(max_terms=2 ** 23), ParameterRangeError,
+     "max_terms 8388608 is above the series budget of 4194304 terms"),
+    (lambda: az.QuadSettings(tol=float("nan")), DomainError,
+     "tolerance must be positive and finite, got nan"),
+    (lambda: az.QuadSettings(max_subdivisions=0), DomainError,
+     "need at least one subdivision, got 0"),
+    (lambda: az.QuadSettings(truncation_T=-1.0), DomainError,
+     "truncation cutoff must be positive and finite, got -1.0"),
+])
+def test_validation_errors(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
