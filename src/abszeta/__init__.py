@@ -1,10 +1,10 @@
 """Absolute zeta functions over F1 with exact symbolic algebra and a
 numerically cross-checked engine for gamma/sine functions of negative order.
 
-The exact layer keeps counting functions, Hurwitz-type forms and zeta
-power products in one canonical rational term map, reads the named schemes
-from a single table, and decides functional equations by factor-map
-algebra.  The numeric layer sums the defining series (with tail
+The exact layer keeps counting functions (which are the Hurwitz-type forms
+too) and zeta power products in one canonical rational term map, reads the
+named schemes from a single table, and decides functional equations by
+factor-map algebra.  The numeric layer sums the defining series (with tail
 elimination), evaluates the independent integral representations, and
 computes the classical Hurwitz zeta and log-gamma to cross-check both.
 """
@@ -36,7 +36,7 @@ from .reports import CheckReport
 from .symzeta import (FEParams, FEReport, HurwitzForm, PowerProduct,
                       check_functional_equation, counting_of_product,
                       eval_hurwitz, eval_hurwitz_exact, eval_power_product,
-                      hurwitz_of, log_derivative_at_zero, reflected, zeta_of)
+                      hurwitz_str, log_derivative_at_zero, reflected, zeta_of)
 
 __all__ = [
     "__version__",
@@ -49,7 +49,7 @@ __all__ = [
     "NoFunctionalEquationError", "ConvergenceError", "BranchCutWarning",
     # symbolic zeta
     "HurwitzForm", "PowerProduct", "FEParams", "FEReport",
-    "hurwitz_of", "zeta_of", "counting_of_product", "eval_hurwitz",
+    "hurwitz_str", "zeta_of", "counting_of_product", "eval_hurwitz",
     "eval_hurwitz_exact", "eval_power_product", "log_derivative_at_zero",
     "reflected", "check_functional_equation",
     # gamma / sine

@@ -38,11 +38,10 @@ from .numerics import (SeriesSettings, binomial_identity_sum, euler_reflection_c
                        gamma_integral, gamma_series, vanishing_check)
 from .parser import GRAMMAR, parse_expr, parse_scheme
 from .quadrature import QuadSettings
-from .rationals import qstr
+from .rationals import as_rational, qstr
 from .reports import CheckReport
-from .symzeta import (FEParams, FEReport, HurwitzForm, PowerProduct,
-                      check_functional_equation, eval_hurwitz, eval_power_product,
-                      hurwitz_of, zeta_of)
+from .symzeta import (FEParams, FEReport, PowerProduct, check_functional_equation,
+                      eval_hurwitz, eval_power_product, hurwitz_str, zeta_of)
 
 
 class _UsageError(Exception):
@@ -65,8 +64,8 @@ def _parse_complex(text: str) -> complex:
 def _parse_rational_or_float(text: str):
     """Return a Fraction when the literal is exact, else a float."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return as_rational(text)
+    except ValueError:
         pass
     try:
         return float(text)
@@ -84,8 +83,8 @@ def _order_float(text: str, what: str) -> float:
 
 def _parse_periods(text: str) -> PeriodVector:
     try:
-        parts = [Fraction(p) for p in text.split(",") if p.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+        parts = [as_rational(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
         raise _UsageError(f"bad period list {text!r}: {exc}") from None
     return PeriodVector(tuple(parts))
 
@@ -126,9 +125,9 @@ def power_product_doc(p: PowerProduct) -> dict:
             "factors": [{"root": qstr(r), "exp": qstr(e)} for r, e in p.factors]}
 
 
-def hurwitz_doc(z: HurwitzForm) -> dict:
-    return {"kind": "hurwitz_form", "variable": z.variable,
-            "terms": [{"shift": qstr(a), "coeff": qstr(m)} for a, m in z.terms]}
+def hurwitz_doc(n: CountingFunction) -> dict:
+    return {"kind": "hurwitz_form", "variable": "s",
+            "terms": [{"shift": qstr(a), "coeff": qstr(m)} for a, m in n.terms]}
 
 
 def number_doc(z: complex) -> dict:
@@ -213,12 +212,12 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_hurwitz(args) -> int:
-    z = hurwitz_of(_counting_from_args(args))
+    n = _counting_from_args(args)
     if (args.w is None) != (args.s is None):
         raise _UsageError("--w and --s must be given together")
     if args.w is None:
-        return _emit(args, hurwitz_doc(z), str(z))
-    value = eval_hurwitz(z, args.w, args.s)
+        return _emit(args, hurwitz_doc(n), hurwitz_str(n))
+    value = eval_hurwitz(n, args.w, args.s)
     return _emit(args, number_doc(value), _fmt_number(value))
 
 

@@ -16,7 +16,8 @@ periods, including the empty one.  It is built by a subset-sum recurrence
 over the distinct sums, never by listing the 2^r subsets.  The sums are
 integers over a common denominator L of the periods, and both sine
 functions are one pass over them: the reflection maps the sum t to
-L|w| - t.  Fractions are built only for the factors that survive.
+L|w| - t (``symzeta.reflection_defect``, as for functional equations).
+Fractions are built only for the factors that survive.
 
 Two budgets bound the work: :data:`MAX_PERIODS` periods (the rank budget,
 shared with the catalog), and :data:`MAX_SUBSET_STEPS` steps of the
@@ -33,8 +34,8 @@ from . import counting
 from .errors import ParameterRangeError
 from .rationals import as_rational, qstr
 from .reports import CheckReport, Record
-from .symzeta import (FEParams, HurwitzForm, PowerProduct, check_functional_equation,
-                      normalize_hurwitz, zeta_of)
+from .symzeta import (FEParams, PowerProduct, check_functional_equation,
+                      reflection_defect, zeta_of)
 
 #: Rank budget: the most periods of a vector, and the largest order
 #: magnitude r.  Gm^722, the largest catalog product it admits, packs into
@@ -112,11 +113,10 @@ def _require_positive_order_magnitude(r: int) -> None:
         raise ParameterRangeError(f"order magnitude above {MAX_PERIODS} (the rank budget)")
 
 
-def neg_zeta_terms(r: int) -> HurwitzForm:
+def neg_zeta_terms(r: int) -> counting.CountingFunction:
     """Hurwitz-type form of order -r: shift -n carries (-1)^n C(r, n), n = 0..r."""
     _require_positive_order_magnitude(r)
-    return normalize_hurwitz(
-        ((-n, (-1) ** n * math.comb(r, n)) for n in range(r + 1)), variable="x")
+    return counting.normalize((-n, (-1) ** n * math.comb(r, n)) for n in range(r + 1))
 
 
 def neg_gamma(r: int) -> PowerProduct:
@@ -147,9 +147,12 @@ def neg_sine(r: int) -> PowerProduct:
     x, x+1, ..., x+r, and reflecting across -r permutes that list while
     negating the exponent pattern.  For every negative integer order the
     combination collapses to the empty product, i.e. the constant 1.
+
+    A reflected factor (-r - x + n)^e is (-1)^e (x + r - n)^e, and the
+    gamma's exponents sum to 0: the sine is their reflection defect across r.
     """
     _require_positive_order_magnitude(r)
-    return _sine(_neg_gamma_exponents(r), r, 1, r)
+    return _product(reflection_defect(_neg_gamma_exponents(r), r, (-1) ** r), 1)
 
 
 def multiperiod_gamma(spec: MultiGammaSpec) -> PowerProduct:
@@ -180,37 +183,15 @@ def _subset_exponents(periods: PeriodVector) -> tuple[int, int, dict[int, int]]:
     return den, sum(steps), exponents
 
 
-def _sine(exponents: dict[int, int], total: int, den: int, r: int) -> PowerProduct:
-    """gamma(x)^(-1) * (gamma(-total/den - x))^((-1)^r) for the gamma of
-    order -r whose factor (x + t/den)^e is the entry t -> e of ``exponents``.
-
-    A factor (-total/den - x + t/den)^e of the reflected gamma is
-    (-1)^e (x + (total - t)/den)^e; a gamma of negative order has exponent
-    sum 0, so the signs cancel and the reflection maps the key t to total - t.
-    Only the keys whose exponents do not cancel are kept.
-    """
-    assert sum(exponents.values()) == 0
-    sign = (-1) ** r
-    survivors = {}
-    for t, e in exponents.items():
-        reflected = total - t
-        combined = sign * exponents.get(reflected, 0) - e
-        if combined:
-            survivors[t] = combined
-        if e and reflected not in exponents:  # a key the gamma does not have
-            survivors[reflected] = sign * e
-    return _product(survivors, den)
-
-
 def multiperiod_sine(spec: MultiGammaSpec) -> PowerProduct:
     """Multi-period sine: gamma(x)^(-1) * (gamma(-|w| - x))^((-1)^r).
 
     |w| is the total period, so -|w| is where the subset-sum roots fold
     onto themselves (the complement map S -> periods \\ S).  Trivial -- the
-    constant 1 -- for every negative integer order.
+    constant 1 -- for every negative integer order.  Computed as in :func:`neg_sine`.
     """
     den, total, exponents = _subset_exponents(spec.periods)
-    return _sine(exponents, total, den, len(spec.periods))
+    return _product(reflection_defect(exponents, total, (-1) ** len(spec.periods)), den)
 
 
 def tensor_power_fe_check(r: int) -> CheckReport:

@@ -246,12 +246,12 @@ def _series_limit(r: float, x: float, w, cfg: SeriesSettings, what: str):
         "raise max_terms or loosen the tolerance")
 
 
-def _terminating_coefficients(k: int, cfg: SeriesSettings) -> list[float]:
-    """The -k + 1 coefficients of integer order k <= 0; all later ones vanish."""
+def _terminating_sum(k: int, x: float, w, cfg: SeriesSettings):
+    """The -k + 1 terms of integer order k <= 0 (all later ones vanish), summed."""
     if -k + 1 > cfg.max_terms:
         raise ConvergenceError(
             f"order {k} has {-k + 1} terms, above the cap of {cfg.max_terms}; raise max_terms")
-    return list(islice(_float_coefficients(float(k)), -k + 1))
+    return next(_partial_sums(float(k), x, w, [1 - k]))
 
 
 def _finite_positive(x, what: str) -> float:
@@ -287,10 +287,7 @@ def zeta_series(r, w, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> complex
     terminating = k is not None and k <= 0
     _require_resolvable_phase(w, x, min(-k, cfg.max_terms) if terminating else cfg.max_terms, cfg)
     if terminating:
-        total = 0j
-        for n, h in enumerate(_terminating_coefficients(k, cfg)):
-            total += h * cmath.exp(-w * math.log(n + x))
-        return total
+        return _terminating_sum(k, x, w, cfg)
     rf = float(r)
     theta = w - rf
     if not theta.real > 0.0:
@@ -357,15 +354,20 @@ def gamma_series(r, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:
     if k is not None:
         if k >= 0:
             raise DomainError(f"order must be negative, got {r!r}")
-        log_value = 0.0
-        for n, h in enumerate(_terminating_coefficients(k, cfg)):
-            log_value -= h * math.log(n + x)
-        return math.exp(log_value)
+        return math.exp(-_terminating_sum(k, x, None, cfg))
     rf = float(r)
     if not rf < 0.0:
         raise DomainError(f"order must be negative, got {r!r}")
     weighted = _series_limit(rf, x, None, cfg, what=f"gamma series of order {rf} at x={x}")
     return math.exp(-weighted)
+
+
+def _head_and_tail(head, tail, T: float, budget: float, cfg: QuadSettings) -> float:
+    """The integral of head over [0, 1] plus that of tail over [1, T], each
+    to a quarter of the error budget."""
+    total = integrate(head, 0.0, 1.0, budget / 4.0, cfg.max_subdivisions)
+    total += integrate(tail, 1.0, T, budget / 4.0, cfg.max_subdivisions)
+    return total
 
 
 def gamma_integral(r, x: float, cfg: QuadSettings = DEFAULT_QUAD) -> float:
@@ -384,8 +386,7 @@ def gamma_integral(r, x: float, cfg: QuadSettings = DEFAULT_QUAD) -> float:
     x = _finite_positive(x, "gamma integral")
     a = -rf
     tol = cfg.tol
-    T = cfg.truncation_T if cfg.truncation_T is not None else exp_tail_cutoff(x, 1.0, tol)
-    T = max(T, 2.0)
+    T = max(exp_tail_cutoff(x, 1.0, tol), 2.0)
     p = max(2.0, 2.0 / a)
 
     def head(v: float) -> float:
@@ -397,8 +398,7 @@ def gamma_integral(r, x: float, cfg: QuadSettings = DEFAULT_QUAD) -> float:
     def tail(t: float) -> float:
         return (-math.expm1(-t)) ** a * math.exp(-x * t) / t
 
-    log_value = integrate(head, 0.0, 1.0, tol / 4.0, cfg.max_subdivisions)
-    log_value += integrate(tail, 1.0, T, tol / 4.0, cfg.max_subdivisions)
+    log_value = _head_and_tail(head, tail, T, tol, cfg)
     try:
         return math.exp(log_value)
     except OverflowError:
@@ -431,16 +431,13 @@ def monomial_kernel_check(alpha, s: float, w: float,
     def tail(t: float) -> float:
         return math.exp(-a * t) * t ** (w - 1.0)
 
-    T = max(2.0, cfg.truncation_T if cfg.truncation_T is not None
-            else exp_tail_cutoff(a, 1.0, budget))
+    T = max(2.0, exp_tail_cutoff(a, 1.0, budget))
     if w > 1.0:
         T = max(T, 4.0 * (w - 1.0) / a)
     # Tail of the Euler integral: below 2 T^(w-1) e^(-aT)/a once aT >= 2(w-1).
     while 2.0 * T ** max(w - 1.0, 0.0) * math.exp(-a * T) / a > budget / 10.0:
         T *= 1.5
-    total = integrate(head, 0.0, 1.0, budget / 4.0, cfg.max_subdivisions)
-    total += integrate(tail, 1.0, T, budget / 4.0, cfg.max_subdivisions)
-    return total / gw
+    return _head_and_tail(head, tail, T, budget, cfg) / gw
 
 
 def log_zeta_integral(n: CountingFunction, s: float,
@@ -475,11 +472,8 @@ def log_zeta_integral(n: CountingFunction, s: float,
         return sum(m * math.exp(-(s - a) * t) for a, m in pairs) / t
 
     scale = sum(abs(m) for _, m in pairs)
-    T = max(2.0, cfg.truncation_T if cfg.truncation_T is not None
-            else exp_tail_cutoff(s - amax, scale, cfg.tol))
-    total = integrate(kernel, 0.0, 1.0, cfg.tol / 4.0, cfg.max_subdivisions)
-    total += integrate(kernel, 1.0, T, cfg.tol / 4.0, cfg.max_subdivisions)
-    return total
+    T = max(2.0, exp_tail_cutoff(s - amax, scale, cfg.tol))
+    return _head_and_tail(kernel, kernel, T, cfg.tol, cfg)
 
 
 def vanishing_check(r, m: int, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:

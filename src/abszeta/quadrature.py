@@ -44,23 +44,18 @@ _ROUNDOFF = 50.0 * sys.float_info.epsilon
 class QuadSettings(Record):
     """Error budget and subdivision limit for one integration task.
 
-    ``truncation_T`` optionally pins the upper cutoff of infinite-range
-    integrands; when None the caller derives a cutoff from its own tail
+    Infinite ranges are cut by each integrand's caller, from its own tail
     bound.
     """
 
-    __slots__ = ("tol", "max_subdivisions", "truncation_T")
+    __slots__ = ("tol", "max_subdivisions")
 
-    def __init__(self, tol: float = 1e-10, max_subdivisions: int = 200,
-                 truncation_T: float | None = None):
+    def __init__(self, tol: float = 1e-10, max_subdivisions: int = 200):
         if not (tol > 0.0 and math.isfinite(tol)):
             raise DomainError(f"tolerance must be positive and finite, got {tol}")
         if max_subdivisions < 1:
             raise DomainError(f"need at least one subdivision, got {max_subdivisions}")
-        if truncation_T is not None and not (truncation_T > 0.0 and math.isfinite(truncation_T)):
-            raise DomainError(
-                f"truncation cutoff must be positive and finite, got {truncation_T}")
-        super().__init__(tol, max_subdivisions, truncation_T)
+        super().__init__(tol, max_subdivisions)
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:

@@ -19,12 +19,20 @@ Rational = Fraction
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or string like ``"-3/2"`` to a Fraction."""
+    """Coerce an int, Fraction, or string like ``"-3/2"`` to a Fraction.
+
+    A decimal exponent above ``sys.get_int_max_str_digits()`` (4300) in
+    magnitude, which Fraction would expand in unbounded time, raises
+    :class:`ParameterRangeError`."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        digits = value.lower().partition("e")[2].rstrip().lstrip("+-").replace("_", "").lstrip("0")
+        limit = sys.get_int_max_str_digits()
+        if limit and digits.isdecimal() and (len(digits) > 18 or int(digits) > limit):
+            raise ParameterRangeError(f"the decimal exponent of {value[:40]!r} exceeds {limit}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

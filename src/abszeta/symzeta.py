@@ -5,9 +5,10 @@ For a finite counting function N(u) = sum m(a) u^a the associated
 Hurwitz-type form is Z(w; s) = sum m(a) (s - a)^(-w), and the absolute
 zeta function it regularizes is the finite power product
 zeta(s) = prod (s - a)^(-m(a)), obtained by exponentiating the
-w-derivative of Z at w = 0.  Because every object here is a finite sum
-or product with rational data, functional equations can be decided
-exactly by comparing factor maps -- no floating point is involved.
+w-derivative of Z at w = 0.  Z has N's term map, so N stands for it.
+Because every object here is a finite sum or product with rational data,
+functional equations can be decided exactly by comparing factor maps --
+no floating point is involved; :func:`reflection_defect` also decides the sines.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from .errors import BranchCutWarning, DomainError, PoleError, PreconditionError
 from .rationals import as_rational, canonical_terms, qstr, signed_sum
 from .reports import Record
 
-ShiftPair = Tuple[Fraction, Fraction]
+#: A Hurwitz-type form has its counting function's term map, so it is one.
+HurwitzForm = CountingFunction
+
 FactorPair = Tuple[Fraction, Fraction]
 
 
@@ -36,28 +39,10 @@ def _paren(variable: str, root: Fraction) -> str:
     return f"({variable}+{qstr(-root)})"
 
 
-class HurwitzForm(Record):
-    """Finite sum of shifted inverse powers: sum coeff * (variable - shift)^(-w).
-
-    Terms are kept shift-descending with nonzero coefficients; ``variable``
-    names the evaluation variable in printed output (``s`` for zeta-side
-    objects, ``x`` for gamma-side ones).
-    """
-
-    __slots__ = ("terms", "variable")
-
-    def __init__(self, terms: tuple[ShiftPair, ...], variable: str = "s"):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "variable", variable)
-
-    def as_dict(self) -> dict[Fraction, Fraction]:
-        return dict(self.terms)
-
-    def shifts(self) -> tuple[Fraction, ...]:
-        return tuple(a for a, _ in self.terms)
-
-    def __str__(self) -> str:
-        return signed_sum(self.terms, lambda a: f"{_paren(self.variable, a)}^-w")
+def hurwitz_str(n: CountingFunction, variable: str = "s") -> str:
+    """Print the Hurwitz-type form of n, sum m(a) * (variable - a)^(-w),
+    shift-descending (``s`` names zeta-side forms, ``x`` gamma-side ones)."""
+    return signed_sum(n.terms, lambda a: f"{_paren(variable, a)}^-w")
 
 
 class PowerProduct(Record):
@@ -139,19 +124,9 @@ class FEReport(Record):
         super().__init__(holds, center, sign, parity_sum, mismatches)
 
 
-def normalize_hurwitz(pairs: Iterable[tuple[object, object]], variable: str = "s") -> HurwitzForm:
-    """Canonicalize (shift, coeff) pairs: merge, drop zeros, sort descending."""
-    return HurwitzForm(canonical_terms(pairs, descending=True), variable)
-
-
 def normalize_power_product(pairs: Iterable[tuple[object, object]], variable: str = "s") -> PowerProduct:
     """Canonicalize (root, exponent) pairs: merge, drop zeros, sort ascending."""
     return PowerProduct(canonical_terms(pairs, descending=False), variable)
-
-
-def hurwitz_of(n: CountingFunction, variable: str = "s") -> HurwitzForm:
-    """Hurwitz-type form of a counting function: shift a gets coefficient m(a)."""
-    return HurwitzForm(n.terms, variable)
 
 
 def zeta_of(n: CountingFunction, variable: str = "s") -> PowerProduct:
@@ -171,13 +146,13 @@ def _finite_complex(value, what: str) -> complex:
     return z
 
 
-def eval_hurwitz(z: HurwitzForm, w: complex, s: complex) -> complex:
-    """Evaluate sum m * (s - shift)^(-w) with principal branches."""
+def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
+    """Evaluate the Hurwitz form of n, sum m(a) * (s - a)^(-w), on principal branches."""
     w = _finite_complex(w, "order w")
     s = _finite_complex(s, "argument s")
     total = 0j
     try:
-        for a, m in z.terms:
+        for a, m in n.terms:
             d = s - complex(float(a))
             if d == 0:
                 raise PoleError(f"evaluation point {s} coincides with shift {qstr(a)}")
@@ -187,8 +162,8 @@ def eval_hurwitz(z: HurwitzForm, w: complex, s: complex) -> complex:
     return _finite_complex(total, f"the Hurwitz form's value at w={w}, s={s}")
 
 
-def eval_hurwitz_exact(z: HurwitzForm, w: int, x) -> Fraction:
-    """Exact rational evaluation of sum m * (x - shift)^(-w) for integer w.
+def eval_hurwitz_exact(n: CountingFunction, w: int, x) -> Fraction:
+    """Exact rational evaluation of sum m(a) * (x - a)^(-w) for integer w.
 
     For w <= 0 the powers are polynomials, so any rational x is fine; for
     w > 0 the point must avoid every shift.
@@ -197,7 +172,7 @@ def eval_hurwitz_exact(z: HurwitzForm, w: int, x) -> Fraction:
         raise DomainError(f"exact evaluation needs an integer order, got {w!r}")
     x = as_rational(x)
     total = Fraction(0)
-    for a, m in z.terms:
+    for a, m in n.terms:
         d = x - a
         if d == 0 and w > 0:
             raise PoleError(f"evaluation point {qstr(x)} coincides with shift {qstr(a)}")
@@ -241,15 +216,15 @@ def eval_power_product(p: PowerProduct, s: complex) -> complex:
     return _finite_complex(value, f"the power product's value at s={s}")
 
 
-def log_derivative_at_zero(z: HurwitzForm, s: complex) -> complex:
-    """d/dw at w = 0 of the Hurwitz-type form: -sum m * log(s - shift).
+def log_derivative_at_zero(n: CountingFunction, s: complex) -> complex:
+    """d/dw at w = 0 of the Hurwitz-type form of n: -sum m(a) * log(s - a).
 
     This is the principal logarithm of the associated power product, so
     exp of it recovers the absolute zeta value.
     """
     s = _finite_complex(s, "argument s")
     total = 0j
-    for a, m in z.terms:
+    for a, m in n.terms:
         d = s - complex(float(a))
         if d == 0:
             raise PoleError(f"evaluation point {s} coincides with shift {qstr(a)}")
@@ -278,11 +253,25 @@ def reflected(p: PowerProduct, center) -> tuple[PowerProduct, int]:
     return q, sign
 
 
+def reflection_defect(exponents: dict[int, int], center: int, sign: int) -> dict[int, int]:
+    """The nonzero entries of t -> sign * e(center - t) - e(t) for an integer
+    exponent map e: empty iff the reflection t -> center - t reproduces e."""
+    defect = {}
+    for t, e in exponents.items():
+        reflected = center - t
+        d = sign * exponents.get(reflected, 0) - e
+        if d:
+            defect[t] = d
+        if e and reflected not in exponents:  # a key e lacks
+            defect[reflected] = sign * e
+    return defect
+
+
 def check_functional_equation(p: PowerProduct, fe: FEParams) -> FEReport:
     """Decide exactly whether P(s) = P(center - s)^sign holds identically.
 
-    The equation holds iff the map
-    {center - root -> sign * exponent} equals the original factor map and
+    The equation holds iff the map {center - root -> sign * exponent}
+    equals the original factor map (no :func:`reflection_defect`) and
     the exponent sum is even (an odd sum would flip the overall sign of
     the reflected product).  Requires integer exponents.  The maps are
     compared on integers: roots times L, the lcm of the denominators of
@@ -292,10 +281,8 @@ def check_functional_equation(p: PowerProduct, fe: FEParams) -> FEReport:
     den = math.lcm(fe.center.denominator, *[r.denominator for r, _ in p.factors])
     center = fe.center.numerator * (den // fe.center.denominator)
     original = {r.numerator * (den // r.denominator): e.numerator for r, e in p.factors}
-    transformed = {center - t: fe.sign * e for t, e in original.items()}
-    mismatches = [(Fraction(t, den), Fraction(original.get(t, 0)), Fraction(transformed.get(t, 0)))
-                  for t in sorted(original.keys() | transformed.keys())
-                  if original.get(t, 0) != transformed.get(t, 0)]
+    mismatches = [(Fraction(t, den), Fraction(original.get(t, 0)), Fraction(original.get(t, 0) + d))
+                  for t, d in sorted(reflection_defect(original, center, fe.sign).items())]
     parity = sum(original.values())
     holds = not mismatches and parity % 2 == 0
     return FEReport(holds=holds, center=fe.center, sign=fe.sign,

@@ -428,6 +428,11 @@ def test_golden_output(argv, code, out, err):
     # --center must be a rational literal
     *[(("check", "fe", "--expr", "u-1", "--center", center, "--sign", "1"), 1)
       for center in BAD_CENTERS],
+    # exact literals whose decimal exponent is beyond 4300, refused before Fraction
+    *[(argv, 3) for lit in ("1e20000000", "1e-20000000") for argv in (
+        ("gamma", f"--order=-{lit}"), ("sine", "--order=-1", "--periods", lit),
+        ("check", "thm4", "--r", lit), ("check", "thm2", f"--r=-{lit}"),
+        ("check", "fe", "--expr", "u-1", "--center", lit, "--sign", "1"))],
 ])
 def test_exit_codes(argv, code):
     start = time.perf_counter()

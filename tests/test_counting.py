@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 import abszeta.counting as cf
 from abszeta.errors import DomainError, ParameterRangeError
+from abszeta.rationals import as_rational
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -303,6 +304,20 @@ def test_eval_is_a_homomorphism(n1, n2):
     p = cf.eval_at(cf.otimes(n1, n2), u)
     assert s == pytest.approx(cf.eval_at(n1, u) + cf.eval_at(n2, u), abs=1e-9)
     assert p == pytest.approx(cf.eval_at(n1, u) * cf.eval_at(n2, u), abs=1e-9)
+
+
+def test_as_rational_refuses_huge_decimal_exponents():
+    """Fraction would expand 10^exponent exactly, so an exponent past
+    sys.get_int_max_str_digits() (4300) is refused before it is parsed."""
+    assert as_rational("1e4300") == 10 ** 4300
+    assert as_rational("25e-0_004300") == F(25, 10 ** 4300)
+    for text in ("1e4301", "-2.5E-4301", "1e00004_301 ", "1e" + "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(ParameterRangeError, match="decimal exponent"):
+            as_rational(text)
+        assert time.perf_counter() - start < 0.1, text[:20]
+    with pytest.raises(ValueError, match="not a rational literal"):
+        as_rational("1e")
 
 
 def test_eval_rational_exact():

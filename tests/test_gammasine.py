@@ -33,7 +33,6 @@ from abszeta.gammasine import (
     MAX_SUBSET_STEPS,
     MultiGammaSpec,
     PeriodVector,
-    _sine,
     as_period_vector,
     multiperiod_gamma,
     multiperiod_sine,
@@ -42,7 +41,8 @@ from abszeta.gammasine import (
     neg_zeta_terms,
     tensor_power_fe_check,
 )
-from abszeta.symzeta import eval_hurwitz, eval_power_product, normalize_power_product, zeta_of
+from abszeta.symzeta import (eval_hurwitz, eval_power_product, hurwitz_str,
+                             normalize_power_product, reflection_defect, zeta_of)
 
 period_lists = st.lists(
     st.fractions(min_value=F(1, 4), max_value=5, max_denominator=8),
@@ -55,7 +55,7 @@ period_lists = st.lists(
 def test_neg_zeta_terms_small_orders():
     assert neg_zeta_terms(1).terms == ((F(0), F(1)), (F(-1), F(-1)))
     assert neg_zeta_terms(2).terms == ((F(0), F(1)), (F(-1), F(-2)), (F(-2), F(1)))
-    assert neg_zeta_terms(1).variable == "x"
+    assert hurwitz_str(neg_zeta_terms(1), "x") == "x^-w - (x+1)^-w"
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -163,13 +163,15 @@ def test_multiperiod_gamma_matches_subset_enumeration(seed):
 
 def test_sine_reflection_keeps_keys_the_gamma_lacks():
     """The integer reflection on an exponent map whose keys are not symmetric."""
-    exponents, total, den = {0: -1, 1: 2, 3: -1}, 5, 2
-    for r, sign in ((3, -1), (4, 1)):
+    exponents, total = {0: -1, 1: 2, 3: -1, 4: 0}, 5
+    for sign in (-1, 1):
         expected = normalize_power_product(
-            [(F(-t, den), -e) for t, e in exponents.items()]
-            + [(F(t - total, den), sign * e) for t, e in exponents.items()], variable="x")
-        assert _sine(exponents, total, den, r) == expected
-        assert not expected.is_one()
+            [(t, -e) for t, e in exponents.items()]
+            + [(total - t, sign * e) for t, e in exponents.items()])
+        defect = reflection_defect(exponents, total, sign)
+        assert defect == {int(t): int(e) for t, e in expected.factors}
+        assert all(type(t) is int and type(e) is int and e for t, e in defect.items())
+        assert defect
 
 
 @settings(max_examples=60)

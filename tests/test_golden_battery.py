@@ -1,4 +1,4 @@
-"""Byte-identity battery: stdout and exit code of about 400 CLI invocations.
+"""Byte-identity battery: stdout and exit code of about 470 CLI invocations.
 
 Claims covered:
 - every subcommand, in text and ``--json``, prints exactly the bytes
@@ -9,10 +9,13 @@ Claims covered:
   numeric routes;
 - error cases keep their exit code and print nothing on stdout.
 
-The JSON file was written by the code before the exact layer moved to
-integer arithmetic, so any change in printed output fails here.  Only
-stdout and the exit code are recorded: the wording of budget errors on
-stderr may change.  To rewrite the file after an intended output change:
+The first 430 rows were written by the code before the exact layer moved
+to integer arithmetic.  The later rows (failing functional equations and
+every Hurwitz form in ``--json``, terminating gamma series, three more
+integrals) were written by the code before the Hurwitz form became the
+counting function itself.  So any change in printed output fails here.
+Only stdout and the exit code are recorded: the wording of budget errors
+on stderr may change.  To rewrite the file after an intended output change:
 
     PYTHONPATH=src python tests/test_golden_battery.py --write
 """
@@ -57,6 +60,21 @@ SINE_PERIODS = [
     "1,2,3,4,5,6,7,8,9,10,11", "1/2,2/3,3/4,4/5,5/6,6/7,7/8,8/9,9/10,10/11,11/12,12/13",
     "5,5,5,5,5,5,5,5,5,5,5,5",
 ]
+
+#: ``check fe --expr`` rows whose equation fails, with and without mismatches;
+#: the first three are also rows of the main list.
+FAILING_FE = [
+    ["check", "fe", "--expr", "(u-1)^6", "--center", "7", "--sign", "+1"],
+    ["check", "fe", "--expr", "u^(1/2)", "--center", "1", "--sign", "1"],
+    ["check", "fe", "--expr", "u^3-u", "--center", "3", "--sign", "-1"],
+    ["check", "fe", "--expr", "(u^(1/3)-1)^7", "--center", "7/3", "--sign", "1"],
+    ["check", "fe", "--expr", "(u-1)^4*(u^(1/2)+2)", "--center", "4", "--sign", "1"],
+    ["check", "fe", "--expr", "(u^2-2)^3", "--center", "1/2", "--sign", "-1"],
+    ["check", "fe", "--expr", "(u-1)^5*(u^(1/4)+1)^3", "--center", "23/4", "--sign", "1"],
+]
+
+#: Evaluation points of the terminating gamma series of orders -1 to -12.
+SERIES_POINTS = ["0.3", "0.5", "0.75", "1", "1.3", "1.5", "2", "2.5", "3", "0.7", "1.1", "2.2"]
 
 
 def _battery() -> list[list[str]]:
@@ -117,7 +135,16 @@ def _battery() -> list[list[str]]:
         ["check", "thm4", "--r", "0"],
         ["eval", "--expr", "u", "--u", "0.5"],
     ]
-    return runs + [argv + ["--json"] for argv in runs[::3]]
+    battery = runs + [argv + ["--json"] for argv in runs[::3]]
+    # later rows are appended, so the indices of the rows above stay put
+    later = FAILING_FE[3:] + [
+        ["gamma", f"--order=-{k}", "--x", x, "--method", "series"]
+        for k, x in enumerate(SERIES_POINTS, start=1)]
+    later += [["gamma", f"--order={order}", "--x", x, "--method", "integral"]
+              for order, x in (("-3/4", "0.6"), ("-4", "2"), ("-7/2", "0.9"))]
+    later += [argv + ["--json"] for argv in runs + later
+              if (argv[0] == "hurwitz" or argv in FAILING_FE) and argv + ["--json"] not in battery]
+    return battery + later
 
 
 def _record() -> list[dict]:

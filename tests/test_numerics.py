@@ -547,8 +547,6 @@ def test_quad_settings_validation():
         QuadSettings(tol=-1.0)
     with pytest.raises(DomainError):
         QuadSettings(max_subdivisions=0)
-    with pytest.raises(DomainError):
-        QuadSettings(truncation_T=0.0)
 
 
 def test_integrate_known_value_and_failure():

@@ -27,8 +27,6 @@ TERMS = ((F(1), F(2)),)
 RECORDS = [
     (az.CountingFunction, (N.terms,), {"terms": N.terms},
      "CountingFunction(terms=((Fraction(2, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(-1, 1))))"),
-    (az.HurwitzForm, (TERMS, "x"), {"terms": TERMS, "variable": "x"},
-     "HurwitzForm(terms=((Fraction(1, 1), Fraction(2, 1)),), variable='x')"),
     (az.PowerProduct, (TERMS, "s"), {"factors": TERMS, "variable": "s"},
      "PowerProduct(factors=((Fraction(1, 1), Fraction(2, 1)),), variable='s')"),
     (az.FEParams, (F(3, 2), -1), {"center": F(3, 2), "sign": -1},
@@ -51,8 +49,8 @@ RECORDS = [
      "SchemeSpec(kind='SL', r=3, custom_counting=None)"),
     (az.SeriesSettings, (1e-8, 1000), {"tol": 1e-8, "max_terms": 1000},
      "SeriesSettings(tol=1e-08, max_terms=1000)"),
-    (az.QuadSettings, (1e-8, 50, 5.0), {"tol": 1e-8, "max_subdivisions": 50, "truncation_T": 5.0},
-     "QuadSettings(tol=1e-08, max_subdivisions=50, truncation_T=5.0)"),
+    (az.QuadSettings, (1e-8, 50), {"tol": 1e-8, "max_subdivisions": 50},
+     "QuadSettings(tol=1e-08, max_subdivisions=50)"),
 ]
 IDS = [row[0].__name__ for row in RECORDS]
 
@@ -82,20 +80,19 @@ def test_immutable(cls, args, kwargs, text):
 
 
 def test_different_classes_are_never_equal():
-    assert az.HurwitzForm(TERMS, "s") != az.PowerProduct(TERMS, "s")
-    assert az.CountingFunction(TERMS) != az.HurwitzForm(TERMS)
-    assert az.SeriesSettings(1e-8, 200) != az.QuadSettings(1e-8, 200, None)
-    assert az.HurwitzForm(TERMS, "s") != az.HurwitzForm(TERMS, "x")
-    assert len({az.HurwitzForm(TERMS), az.PowerProduct(TERMS), az.HurwitzForm(TERMS)}) == 2
+    assert az.CountingFunction(TERMS) != az.PowerProduct(TERMS, "s")
+    assert az.SeriesSettings(1e-8, 200) != az.QuadSettings(1e-8, 200)
+    assert len({az.CountingFunction(TERMS), az.PowerProduct(TERMS),
+                az.CountingFunction(TERMS)}) == 2
+    assert az.HurwitzForm is az.CountingFunction
 
 
 def test_defaults():
-    assert az.HurwitzForm(TERMS).variable == "s"
     assert az.PowerProduct(TERMS).variable == "s"
     assert az.CheckReport("n", True, 1.0, 1.0, 0.0).detail == ""
     assert az.SchemeSpec("Gm") == az.SchemeSpec("Gm", None, None) == az.gm()
     assert az.SeriesSettings() == az.SeriesSettings(1e-9, 300_000)
-    assert az.QuadSettings() == az.QuadSettings(1e-10, 200, None)
+    assert az.QuadSettings() == az.QuadSettings(1e-10, 200)
 
 
 def test_construction_coerces():
@@ -137,8 +134,6 @@ def test_construction_coerces():
      "tolerance must be positive and finite, got nan"),
     (lambda: az.QuadSettings(max_subdivisions=0), DomainError,
      "need at least one subdivision, got 0"),
-    (lambda: az.QuadSettings(truncation_T=-1.0), DomainError,
-     "truncation cutoff must be positive and finite, got -1.0"),
 ])
 def test_validation_errors(build, error, message):
     with pytest.raises(error) as info:

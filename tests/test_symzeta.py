@@ -7,8 +7,10 @@ Claims covered:
 - products multiply/invert/shift consistently (numeric cross-check);
 - numerical evaluation agrees with direct complex arithmetic, raises at
   poles/zeros, and warns on branch-cut evaluation;
-- reflection across a center produces the factor map of P(c-s) and the
-  functional-equation verdict matches a brute-force factor comparison.
+- reflection across a center produces the factor map of P(c-s), and the
+  functional-equation verdict and mismatch triples match a brute-force
+  factor comparison;
+- a Hurwitz-type form is its counting function, printed by hurwitz_str.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from abszeta.symzeta import (
     eval_hurwitz,
     eval_hurwitz_exact,
     eval_power_product,
-    hurwitz_of,
+    hurwitz_str,
     log_derivative_at_zero,
     normalize_power_product,
     reflected,
@@ -55,10 +57,10 @@ def test_zeta_of_negates_multiplicities():
 
 
 def test_hurwitz_of_preserves_multiplicities():
-    h = hurwitz_of(SL2)
-    assert h.terms == ((F(3), F(1)), (F(1), F(-1)))
-    assert str(h) == "(s-3)^-w - (s-1)^-w"
-    assert str(hurwitz_of(cf.U, variable="x")) == "(x-1)^-w"
+    assert HurwitzForm is cf.CountingFunction
+    assert hurwitz_str(SL2) == "(s-3)^-w - (s-1)^-w"
+    assert hurwitz_str(cf.U, "x") == "(x-1)^-w"
+    assert hurwitz_str(cf.ZERO) == "0"
 
 
 def test_counting_of_product_inverts_zeta_of():
@@ -133,27 +135,25 @@ def test_eval_power_product_branch_cut_warns():
 
 
 def test_eval_hurwitz_values():
-    h = hurwitz_of(SL2)
     w, s = 2.0, 5.0
     expected = (s - 3) ** -w - (s - 1) ** -w
-    assert eval_hurwitz(h, w, s) == pytest.approx(expected, rel=1e-13)
+    assert eval_hurwitz(SL2, w, s) == pytest.approx(expected, rel=1e-13)
     with pytest.raises(PoleError):
-        eval_hurwitz(h, 2.0, 3.0)
+        eval_hurwitz(SL2, 2.0, 3.0)
 
 
 def test_eval_hurwitz_exact():
-    h = hurwitz_of(SL2)
-    assert eval_hurwitz_exact(h, 2, F(5)) == F(1, 4) - F(1, 16)
-    assert eval_hurwitz_exact(h, -1, F(3)) == F(0) - F(2)
-    assert eval_hurwitz_exact(h, 0, F(3)) == F(1) - F(1)
+    assert eval_hurwitz_exact(SL2, 2, F(5)) == F(1, 4) - F(1, 16)
+    assert eval_hurwitz_exact(SL2, -1, F(3)) == F(0) - F(2)
+    assert eval_hurwitz_exact(SL2, 0, F(3)) == F(1) - F(1)
     with pytest.raises(PoleError):
-        eval_hurwitz_exact(h, 2, F(3))
+        eval_hurwitz_exact(SL2, 2, F(3))
 
 
 def test_log_derivative_at_zero_matches_log_of_product():
     z = zeta_of(SL2)
     s = 6.0
-    val = log_derivative_at_zero(hurwitz_of(SL2), s)
+    val = log_derivative_at_zero(SL2, s)
     assert cmath.exp(val) == pytest.approx(eval_power_product(z, s), rel=1e-12)
 
 
@@ -183,10 +183,16 @@ def test_reflected_rejects_fractional_exponents():
         reflected(p, F(1))
 
 
-def brute_force_fe(p: PowerProduct, center: F, sign: int) -> bool:
+def brute_force_fe(p: PowerProduct, center: F, sign: int) -> tuple[bool, list]:
+    """The verdict and the (root, exponent, reflected exponent) mismatches,
+    from the factor maps of P and of Q^sign, where P(center - s) = +-Q(s)."""
     refl, refl_sign = reflected(p, center)
-    target = refl if sign == 1 else refl.inverse()
-    return target.factor_map() == p.factor_map() and refl_sign == 1
+    target = (refl if sign == 1 else refl.inverse()).factor_map()
+    original = p.factor_map()
+    mismatches = [(root, original.get(root, F(0)), target.get(root, F(0)))
+                  for root in sorted(original.keys() | target.keys())
+                  if original.get(root, F(0)) != target.get(root, F(0))]
+    return target == original and refl_sign == 1, mismatches
 
 
 def test_check_fe_sl2():
@@ -212,7 +218,10 @@ def test_check_fe_reports_mismatch_roots():
        st.sampled_from([1, -1]))
 def test_check_fe_agrees_with_brute_force(p, center, sign):
     rep = check_functional_equation(p, FEParams(center, sign))
-    assert rep.holds == brute_force_fe(p, center, sign)
+    holds, mismatches = brute_force_fe(p, center, sign)
+    assert rep.holds == holds
+    assert list(rep.mismatches) == mismatches
+    assert all(type(v) is F for triple in rep.mismatches for v in triple)
 
 
 @settings(max_examples=40)
