@@ -13,18 +13,16 @@ Every named scheme other than SpecF1 has dimension d and a period vector
 w, and its absolute zeta equals the multi-period gamma function of the
 periods evaluated at s - d.  ``counting_of`` expands the product in one
 call of ``counting.tensor_product``, a power per distinct period.
-``zeta_of_scheme`` checks that expansion against the product by a route
-that shares no code with it: both sides are evaluated exactly, as
-integers, at |w| + 1 points, which decides the identity of two
-polynomials of degree |w|.
+``zeta_of_scheme`` checks the zeta of that expansion against the gamma,
+built by the subset-sum recurrence of ``gammasine``, which shares no
+expansion code with it.
 
-A scheme's total period |w| is the degree of that polynomial, and the
+A scheme's total period |w| is the degree of its counting function; the
 rank budget :data:`MAX_TOTAL_PERIOD` caps it before anything is expanded.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -33,7 +31,7 @@ from typing import Callable
 from . import counting as cf
 from .counting import CountingFunction
 from .errors import NoFunctionalEquationError, ParameterRangeError
-from .gammasine import MAX_PERIODS, PeriodVector
+from .gammasine import MAX_PERIODS, MultiGammaSpec, PeriodVector, multiperiod_gamma
 from .reports import Record
 from .symzeta import FEParams, PowerProduct, zeta_of
 
@@ -80,8 +78,8 @@ class SchemeSpec(Record):
 
     ``r`` is the rank parameter for the parametric kinds (tensor power or
     matrix-group size); ``custom_counting`` carries the user-supplied
-    counting function for kind ``Custom``.  The rank is checked, and the
-    other properties are read, against the kind's row in :data:`SCHEMES`.
+    counting function for kind ``Custom``.  Any other kind needs a row in
+    :data:`SCHEMES`, against which the rank is checked and the rest is read.
     """
 
     __slots__ = ("kind", "r", "custom_counting")
@@ -89,6 +87,11 @@ class SchemeSpec(Record):
     def __init__(self, kind: str, r: int | None = None,
                  custom_counting: CountingFunction | None = None):
         row = SCHEMES.get(kind)
+        if row is None and kind != CUSTOM:
+            raise ParameterRangeError(f"unknown scheme kind {kind!r}")
+        if row is None and not isinstance(custom_counting, CountingFunction):
+            raise ParameterRangeError(
+                f"a Custom scheme needs a counting function, got {custom_counting!r}")
         if row and row.min_r is not None:
             if not isinstance(r, int) or isinstance(r, bool) or r < row.min_r:
                 raise ParameterRangeError(
@@ -152,56 +155,36 @@ def counting_of(spec: SchemeSpec) -> CountingFunction:
     """Counting function of a scheme: u^d * prod over the periods of (1 - u^-w)."""
     if spec.kind == CUSTOM:
         return spec.custom_counting
-    row = SCHEMES.get(spec.kind)
-    if row is None:
-        raise ParameterRangeError(f"unknown scheme kind {spec.kind!r}")
+    row = SCHEMES[spec.kind]
     return cf.tensor_product([(cf.normalize([(row.dimension(spec.r), 1)]), 1)]
                              + [(cf.normalize([(0, 1), (-w, -1)]), k)
                                 for w, k in Counter(row.periods(spec.r)).items()])
 
 
 def zeta_of_scheme(spec: SchemeSpec) -> PowerProduct:
-    """Absolute zeta of a scheme, cross-checked against its period product.
+    """Absolute zeta of a scheme, cross-checked against the paper's identity.
 
-    For schemes with a period vector w and dimension d the counting
-    function must be N(u) = u^d * prod (1 - u^-w_j): its lowest exponent
-    is d - |w|, its span |w|, and u^(|w| - d) * N(u), a polynomial of
-    degree |w| evaluated by Horner's rule, equals prod (u^w_j - 1) at the
-    |w| + 1 points u = 2 .. |w| + 2.  Two polynomials of degree |w| that
-    agree at that many points are equal (Schwartz 1980; Zippel 1979), so
-    this decides the identity without sharing code with the expansion.  A
-    mismatch would mean the counting route is wrong, so it is treated as
-    an internal error rather than a recoverable condition.  The zeta is
-    then the multi-period gamma of the periods shifted by d.
+    For a scheme with periods w and dimension d the zeta of
+    N(u) = u^d * prod (1 - u^-w_j) is the multi-period gamma of w at s - d.
+    The zeta comes from the expanded counting function, the gamma from the
+    subset-sum recurrence of :func:`multiperiod_gamma`, which shares no
+    expansion code with it; their factors must agree root for root once
+    the gamma's roots are moved up by d.  A mismatch would mean one route
+    is wrong, so it is an internal error rather than a recoverable condition.
     """
     n = counting_of(spec)
     product = zeta_of(n)
     periods = spec.periods
-    if periods is not None and not _matches_period_product(n, spec.dimension, periods):
-        raise AssertionError(
-            f"internal cross-check failed for {spec.name}: counting route gives {n}, "
-            f"which is not u^{spec.dimension} * prod over {periods} of (1 - u^-w)")
+    if periods is not None:
+        d = spec.dimension
+        gamma = multiperiod_gamma(MultiGammaSpec(-len(periods), periods))
+        # a root less d keeps its denominator: compare integer pairs, build no Fraction
+        if ([(r.numerator - d * r.denominator, r.denominator, e) for r, e in product.factors]
+                != [(r.numerator, r.denominator, e) for r, e in gamma.factors]):
+            raise AssertionError(
+                f"internal cross-check failed for {spec.name}: counting route gives {n}, "
+                f"whose zeta is not the gamma of the periods {periods} at s - {d}")
     return product
-
-
-def _matches_period_product(n: CountingFunction, d: int, periods: PeriodVector) -> bool:
-    total = periods.total()
-    if not n.terms or n.terms[-1][0] != d - total or n.terms[0][0] - n.terms[-1][0] != total:
-        return False
-    coefficients = [0] * (int(total) + 1)  # of u^(k + d - |w|), k = 0 .. |w|
-    for a, m in n.terms:
-        k = a - n.terms[-1][0]
-        if k.denominator != 1 or m.denominator != 1:
-            return False
-        coefficients[k.numerator] = m.numerator
-    multiplicity = Counter(int(w) for w in periods.periods)
-    for u in range(2, len(coefficients) + 2):
-        value = 0
-        for c in reversed(coefficients):
-            value = value * u + c
-        if value != math.prod((u ** w - 1) ** k for w, k in multiplicity.items()):
-            return False
-    return True
 
 
 def fe_params_of(spec: SchemeSpec) -> FEParams:

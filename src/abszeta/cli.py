@@ -186,12 +186,7 @@ def _counting_from_args(args) -> CountingFunction:
 
 
 def _series_cfg(args) -> SeriesSettings:
-    return SeriesSettings(tol=args.tol if args.tol is not None else 1e-9,
-                          max_terms=args.max_terms)
-
-
-def _quad_cfg(args) -> QuadSettings:
-    return QuadSettings(tol=args.tol if args.tol is not None else 1e-10)
+    return SeriesSettings(tol=_check_tol(args, 1e-9), max_terms=args.max_terms)
 
 
 def _check_tol(args, default: float) -> float:
@@ -249,7 +244,7 @@ def _cmd_gamma(args) -> int:
     if method == "series":
         value = gamma_series(order_f, args.x, _series_cfg(args))
     else:
-        value = gamma_integral(order_f, args.x, _quad_cfg(args))
+        value = gamma_integral(order_f, args.x, QuadSettings(tol=_check_tol(args, 1e-10)))
     return _emit(args, number_doc(complex(value)), _fmt_number(complex(value)))
 
 

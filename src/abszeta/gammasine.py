@@ -42,8 +42,8 @@ from .symzeta import (FEParams, PowerProduct, check_functional_equation,
 #: 0.53 Mbit, an eighth of ``counting.MAX_PACKED_BITS`` (2^22 bits).
 MAX_PERIODS = 722
 #: Budget on the subset-sum recurrence of :func:`multiperiod_gamma`: r
-#: periods with at most k distinct subset sums take at most r * k steps.
-#: Gm^MAX_PERIODS, the largest catalog product, takes this many.
+#: periods with at most k distinct subset sums take at most r * k steps,
+#: as many as ``catalog.zeta_of_scheme`` takes for Gm^MAX_PERIODS.
 MAX_SUBSET_STEPS = MAX_PERIODS * (MAX_PERIODS + 1)
 
 

@@ -247,10 +247,22 @@ def _series_limit(r: float, x: float, w, cfg: SeriesSettings, what: str):
 
 
 def _terminating_sum(k: int, x: float, w, cfg: SeriesSettings):
-    """The -k + 1 terms of integer order k <= 0 (all later ones vanish), summed."""
+    """The -k + 1 terms of integer order k <= 0 (all later ones vanish), summed.
+
+    They alternate, and sum_n |C(n + k - 1, n)| = 2^-k: a sum of log weights
+    (w None) that may round to 2 eps 2^-k max_n |log(n + x)|, above the
+    tolerance, is refused before summing."""
     if -k + 1 > cfg.max_terms:
         raise ConvergenceError(
             f"order {k} has {-k + 1} terms, above the cap of {cfg.max_terms}; raise max_terms")
+    if w is None:  # the bound is taken in logs, so that no |k| overflows it
+        log10_bound = (math.log10(2.0 * sys.float_info.epsilon
+                                  * max(abs(math.log(x)), math.log(x - k))) - k * math.log10(2.0))
+        if log10_bound > math.log10(cfg.tol):
+            raise ConvergenceError(
+                f"gamma series of order {k} at x={x}: rounding in its {1 - k} alternating "
+                f"terms may reach 10^{log10_bound:.1f}, above the tolerance {cfg.tol:.2e}; "
+                "use --method integral")
     return next(_partial_sums(float(k), x, w, [1 - k]))
 
 
@@ -362,12 +374,10 @@ def gamma_series(r, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:
     return math.exp(-weighted)
 
 
-def _head_and_tail(head, tail, T: float, budget: float, cfg: QuadSettings) -> float:
+def _head_and_tail(head, tail, T: float, budget: float) -> float:
     """The integral of head over [0, 1] plus that of tail over [1, T], each
     to a quarter of the error budget."""
-    total = integrate(head, 0.0, 1.0, budget / 4.0, cfg.max_subdivisions)
-    total += integrate(tail, 1.0, T, budget / 4.0, cfg.max_subdivisions)
-    return total
+    return integrate(head, 0.0, 1.0, budget / 4.0) + integrate(tail, 1.0, T, budget / 4.0)
 
 
 def gamma_integral(r, x: float, cfg: QuadSettings = DEFAULT_QUAD) -> float:
@@ -398,7 +408,7 @@ def gamma_integral(r, x: float, cfg: QuadSettings = DEFAULT_QUAD) -> float:
     def tail(t: float) -> float:
         return (-math.expm1(-t)) ** a * math.exp(-x * t) / t
 
-    log_value = _head_and_tail(head, tail, T, tol, cfg)
+    log_value = _head_and_tail(head, tail, T, tol)
     try:
         return math.exp(log_value)
     except OverflowError:
@@ -437,7 +447,7 @@ def monomial_kernel_check(alpha, s: float, w: float,
     # Tail of the Euler integral: below 2 T^(w-1) e^(-aT)/a once aT >= 2(w-1).
     while 2.0 * T ** max(w - 1.0, 0.0) * math.exp(-a * T) / a > budget / 10.0:
         T *= 1.5
-    return _head_and_tail(head, tail, T, budget, cfg) / gw
+    return _head_and_tail(head, tail, T, budget) / gw
 
 
 def log_zeta_integral(n: CountingFunction, s: float,
@@ -473,7 +483,7 @@ def log_zeta_integral(n: CountingFunction, s: float,
 
     scale = sum(abs(m) for _, m in pairs)
     T = max(2.0, exp_tail_cutoff(s - amax, scale, cfg.tol))
-    return _head_and_tail(kernel, kernel, T, cfg.tol, cfg)
+    return _head_and_tail(kernel, kernel, T, cfg.tol)
 
 
 def vanishing_check(r, m: int, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:
@@ -492,8 +502,7 @@ def vanishing_check(r, m: int, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -
     return abs(zeta_series(rf, complex(mi), x, cfg))
 
 
-def binomial_identity_sum(cfg: SeriesSettings = DEFAULT_SERIES,
-                          tail_correction: bool = True) -> float:
+def binomial_identity_sum(cfg: SeriesSettings = DEFAULT_SERIES) -> float:
     """Partial sum of sum_{n >= 1} C(2n, n) / ((2n - 1) 4^n), plus a tail estimate.
 
     The exact sum is 1.  Terms decay like n^(-3/2) / (2 sqrt(pi)), so the
@@ -506,9 +515,7 @@ def binomial_identity_sum(cfg: SeriesSettings = DEFAULT_SERIES,
     for n in range(1, n_terms + 1):
         total += a
         a *= (2.0 * n - 1.0) / (2.0 * n + 2.0)
-    if tail_correction:
-        total += 1.0 / math.sqrt(math.pi * n_terms)
-    return total
+    return total + 1.0 / math.sqrt(math.pi * n_terms)
 
 
 def _bernoulli_number(j: int) -> Fraction:
@@ -635,7 +642,10 @@ def euler_reflection_check(s: float) -> tuple[float, float]:
     if s == math.floor(s):
         raise DomainError(f"reflection identity has poles at integers, got s = {s}")
     left_log = _log_gamma_one_analytic(s + 1.0) + _log_gamma_one_analytic(-s)
-    left_c = cmath.exp(left_log)
+    try:
+        left_c = cmath.exp(left_log)
+    except OverflowError:
+        raise DomainError(f"the reflection product at s={s} is beyond the float range") from None
     if abs(left_c.imag) > 1e-8 * (1.0 + abs(left_c)):
         raise ConvergenceError(
             f"reflection product unexpectedly non-real at s={s}: {left_c}")

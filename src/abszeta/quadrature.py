@@ -42,20 +42,18 @@ _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
 class QuadSettings(Record):
-    """Error budget and subdivision limit for one integration task.
+    """Error budget for one integration task.
 
     Infinite ranges are cut by each integrand's caller, from its own tail
-    bound.
+    bound; each panel integral gets :func:`integrate`'s subdivision limit.
     """
 
-    __slots__ = ("tol", "max_subdivisions")
+    __slots__ = ("tol",)
 
-    def __init__(self, tol: float = 1e-10, max_subdivisions: int = 200):
+    def __init__(self, tol: float = 1e-10):
         if not (tol > 0.0 and math.isfinite(tol)):
             raise DomainError(f"tolerance must be positive and finite, got {tol}")
-        if max_subdivisions < 1:
-            raise DomainError(f"need at least one subdivision, got {max_subdivisions}")
-        super().__init__(tol, max_subdivisions)
+        super().__init__(tol)
 
 
 def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:

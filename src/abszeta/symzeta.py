@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .counting import CountingFunction
-from .errors import BranchCutWarning, DomainError, PoleError, PreconditionError
+from .errors import BranchCutWarning, ConvergenceError, DomainError, PoleError, PreconditionError
 from .rationals import as_rational, canonical_terms, qstr, signed_sum
 from .reports import Record
 
@@ -28,6 +29,9 @@ from .reports import Record
 HurwitzForm = CountingFunction
 
 FactorPair = Tuple[Fraction, Fraction]
+
+#: Largest relative rounding error :func:`eval_power_product` returns.
+MAX_PRODUCT_ROUNDING = 1e-9
 
 
 def _paren(variable: str, root: Fraction) -> str:
@@ -189,10 +193,12 @@ def eval_power_product(p: PowerProduct, s: complex) -> complex:
     negative real number (the principal branch is used regardless).  At a
     real point with integer exponents the value is real, with its sign
     counted exactly; a value beyond the float range raises DomainError.
+    The value is exp of sum e log(s - root): ConvergenceError when its
+    rounding, eps sum |e log(s - root)|, exceeds :data:`MAX_PRODUCT_ROUNDING`.
     """
     s = _finite_complex(s, "argument s")
     real = s.imag == 0 and all(e.denominator == 1 for _, e in p.factors)
-    sign, log_sum, zero_hit = 1.0, 0j, False
+    sign, log_sum, magnitude, zero_hit = 1.0, 0j, 0.0, False
     try:
         for r, e in p.factors:
             d = s - complex(float(r))
@@ -207,9 +213,15 @@ def eval_power_product(p: PowerProduct, s: complex) -> complex:
                     "using the principal branch", BranchCutWarning, stacklevel=2)
             if real and d.real < 0 and e.numerator % 2:
                 sign = -sign
-            log_sum += float(e) * cmath.log(d)
+            term = float(e) * cmath.log(d)
+            log_sum += term
+            magnitude += abs(term)
         if zero_hit:
             return 0j
+        if sys.float_info.epsilon * magnitude > MAX_PRODUCT_ROUNDING:
+            raise ConvergenceError(
+                f"the power product at s={s}: its log sum may be off by "
+                f"{sys.float_info.epsilon * magnitude:.2e}; for a gamma, use --method integral")
         value = complex(sign * math.exp(log_sum.real)) if real else cmath.exp(log_sum)
     except OverflowError:
         value = complex(math.inf)

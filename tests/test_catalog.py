@@ -5,7 +5,8 @@ Claims covered:
   (sympy polynomial oracle for SL/GL, binomial expansion for Gm^r);
 - zeta_of_scheme agrees with hand-computed factorizations for the small
   schemes, equals the shifted multi-period gamma for every kind up to rank
-  12, and its point-evaluation cross-check refuses wrong counting maps;
+  12, and its cross-check against that gamma refuses wrong counting maps
+  and a wrong gamma;
 - the rank budget refuses a total period above MAX_TOTAL_PERIOD unexpanded;
 - dimension equals the top exponent and the weighted multiplicity sum,
   i.e. N'(1) in the polynomial sense, relates to the period data;
@@ -26,7 +27,7 @@ import abszeta.catalog as cat
 import abszeta.counting as cf
 from abszeta.errors import NoFunctionalEquationError, ParameterRangeError
 from abszeta.gammasine import MultiGammaSpec, multiperiod_gamma
-from abszeta.symzeta import check_functional_equation, zeta_of
+from abszeta.symzeta import PowerProduct, check_functional_equation, zeta_of
 
 
 def sympy_counting(spec: cat.SchemeSpec):
@@ -132,7 +133,7 @@ def test_zeta_gl2():
     cat.gl(1), cat.gl(2), cat.gl(3), cat.gl(4), cat.gl(5),
 ])
 def test_zeta_internal_cross_check_passes(spec):
-    """The counting route passes the point-evaluation cross-check."""
+    """The counting route passes the cross-check against the periods' gamma."""
     z = cat.zeta_of_scheme(spec)
     assert z == zeta_of(cat.counting_of(spec))
 
@@ -170,6 +171,21 @@ def test_cross_check_refuses_wrong_counting(spec, monkeypatch):
             cat.zeta_of_scheme(spec)
     monkeypatch.setattr(cat, "counting_of", lambda _spec: right)
     assert cat.zeta_of_scheme(spec) == zeta_of(right)
+
+
+def test_cross_check_refuses_a_perturbed_gamma(monkeypatch):
+    """zeta_of_scheme compares the zeta with the periods' gamma, so a gamma
+    with one exponent changed is refused too."""
+    gamma = cat.multiperiod_gamma
+
+    def perturbed(spec):
+        (root, e), *rest = gamma(spec).factors
+        return PowerProduct(((root, e + 1), *rest), "x")
+
+    monkeypatch.setattr(cat, "multiperiod_gamma", perturbed)
+    for spec in (cat.gm(), cat.gm_tensor(5), cat.sl(4), cat.gl(4)):
+        with pytest.raises(AssertionError, match="cross-check failed"):
+            cat.zeta_of_scheme(spec)
 
 
 def test_rank_budget():
@@ -249,6 +265,11 @@ def test_constructor_validation():
                      lambda: cat.gm_tensor(True)):
         with pytest.raises(ParameterRangeError):
             bad_call()
+    # a kind counting_of cannot count is refused when the spec is built
+    with pytest.raises(ParameterRangeError, match="unknown scheme kind 'Foo'"):
+        cat.SchemeSpec("Foo", 3)
+    with pytest.raises(ParameterRangeError, match="Custom scheme needs a counting function"):
+        cat.SchemeSpec(cat.CUSTOM)
 
 
 def test_catalog_entries_are_consistent():

@@ -1,0 +1,108 @@
+"""Fuzz gate over the command line: subcommand x flag x value.
+
+Claims covered: every argv drawn from the subcommands, their flags and
+literal families (huge, tiny, negative, fractional, 1e400, nan, inf, the
+Unicode minus, the empty string, and integer orders far beyond what floats
+resolve) ends in a documented exit code 0-4, with no traceback on stderr,
+within 10 s.  The examples run in-process through ``cli.run``, where any
+exception that escapes it fails the test; a small sample also runs as real
+processes.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+import abszeta
+from conftest import run_cli
+
+#: Literal families every flag draws from.
+LITERALS = (
+    "1e300", "9" * 60, "1e-300", "5e-324", "-3", "-0.5", "-1/2", "1/2", "2.5",
+    "-7/3", "1e400", "-1e400", "nan", "inf", "-inf", "−1", "−1/2", "",
+    "-60", "-100", "-200",
+)
+#: Values a flag also draws, so that well-formed calls reach the deeper layers.
+VALID = {
+    "--expr": ("(u-1)^3", "u^2-1", "(u-1)^40", "u^(1/2)-1"),
+    "--scheme": ("Gm", "Gm^3", "SL(3)", "GL(2)", "SpecF1"),
+    "--w": ("2", "1.5,2", "-3"), "--s": ("3", "0.5,1", "5"),
+    "--order": ("-1", "-3", "-20", "-3/2"), "--x": ("1", "0.5", "3"),
+    "--method": ("product", "series", "integral"), "--periods": ("1,2", "1/2,1", "3"),
+    "--center": ("2", "-1/2"), "--sign": ("1", "-1", "+1"),
+    "--r": ("-1/2", "-5/2", "3"), "--u": ("2", "1.5"),
+    "--tol": ("1e-6", "1e-12"), "--max-terms": ("1000", "200"),
+}
+#: Each subcommand's argv prefix, its required flags and its other flags;
+#: --tol, --max-terms and --json are common to all of them.
+COMMANDS = (
+    (("counting",), (), ("--expr", "--scheme")),
+    (("zeta",), (), ("--expr", "--scheme")),
+    (("hurwitz",), (), ("--expr", "--scheme", "--w", "--s")),
+    (("gamma",), ("--order",), ("--x", "--method", "--periods")),
+    (("sine",), ("--order",), ("--periods",)),
+    (("check", "fe"), (), ("--expr", "--scheme", "--center", "--sign")),
+    (("check", "thm2"), ("--r",), ("--x",)),
+    (("check", "identity-binomial"), (), ()),
+    (("check", "reflection"), ("--s",), ()),
+    (("check", "thm4"), ("--r",), ()),
+    (("eval",), ("--expr", "--u"), ()),
+    (("catalog",), (), ()),
+)
+COMMON = ("--tol", "--max-terms")
+
+
+def _value(flag: str):
+    """A literal or, as often, a well-formed value of the flag."""
+    return st.one_of(st.sampled_from(LITERALS), st.sampled_from(VALID[flag]))
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    prefix, required, optional = draw(st.sampled_from(COMMANDS))
+    argv = list(prefix)
+    for flag in required + optional + COMMON:
+        if flag in required or draw(st.booleans()):
+            argv.append(f"{flag}={draw(_value(flag))}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def _check(code: int, err: str, seconds: float) -> None:
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    assert seconds < 10.0
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+@example(["gamma", "--order=-100", "--x=1", "--method=series"])  # OverflowError before
+@example(["check", "reflection", "--s=5e-324", "--json"])         # OverflowError before
+def test_cli_fuzz_in_process(argv):
+    start = time.perf_counter()
+    code, _, err = run_cli(*argv)
+    _check(code, err, time.perf_counter() - start)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--order=-100", "--x=1", "--method=series"],
+    ["gamma", "--order=−1", "--x=nan"],
+    ["check", "thm2", "--r=-1e400", "--json"],
+    ["hurwitz", "--expr=(u-1)^3", "--w=inf", "--s=1e300"],
+    ["sine", "--order=-200", "--periods="],
+])
+def test_cli_fuzz_subprocess_sample(argv):
+    src = os.path.dirname(os.path.dirname(abszeta.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "abszeta.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=30)
+    _check(proc.returncode, proc.stderr, time.perf_counter() - start)

@@ -49,8 +49,7 @@ RECORDS = [
      "SchemeSpec(kind='SL', r=3, custom_counting=None)"),
     (az.SeriesSettings, (1e-8, 1000), {"tol": 1e-8, "max_terms": 1000},
      "SeriesSettings(tol=1e-08, max_terms=1000)"),
-    (az.QuadSettings, (1e-8, 50), {"tol": 1e-8, "max_subdivisions": 50},
-     "QuadSettings(tol=1e-08, max_subdivisions=50)"),
+    (az.QuadSettings, (1e-8,), {"tol": 1e-8}, "QuadSettings(tol=1e-08)"),
 ]
 IDS = [row[0].__name__ for row in RECORDS]
 
@@ -81,7 +80,7 @@ def test_immutable(cls, args, kwargs, text):
 
 def test_different_classes_are_never_equal():
     assert az.CountingFunction(TERMS) != az.PowerProduct(TERMS, "s")
-    assert az.SeriesSettings(1e-8, 200) != az.QuadSettings(1e-8, 200)
+    assert az.SeriesSettings(1e-8, 200) != az.QuadSettings(1e-8)
     assert len({az.CountingFunction(TERMS), az.PowerProduct(TERMS),
                 az.CountingFunction(TERMS)}) == 2
     assert az.HurwitzForm is az.CountingFunction
@@ -92,7 +91,7 @@ def test_defaults():
     assert az.CheckReport("n", True, 1.0, 1.0, 0.0).detail == ""
     assert az.SchemeSpec("Gm") == az.SchemeSpec("Gm", None, None) == az.gm()
     assert az.SeriesSettings() == az.SeriesSettings(1e-9, 300_000)
-    assert az.QuadSettings() == az.QuadSettings(1e-10, 200)
+    assert az.QuadSettings() == az.QuadSettings(1e-10)
 
 
 def test_construction_coerces():
@@ -132,8 +131,6 @@ def test_construction_coerces():
      "max_terms 8388608 is above the series budget of 4194304 terms"),
     (lambda: az.QuadSettings(tol=float("nan")), DomainError,
      "tolerance must be positive and finite, got nan"),
-    (lambda: az.QuadSettings(max_subdivisions=0), DomainError,
-     "need at least one subdivision, got 0"),
 ])
 def test_validation_errors(build, error, message):
     with pytest.raises(error) as info:
