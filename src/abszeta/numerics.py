@@ -28,9 +28,9 @@ in bounded time.
 
 Independent integral representations (log Gamma as a Frullani-type
 integral, the Euler integral for monomials, the log of the zeta product
-as an integral of a difference kernel) are evaluated by adaptive
-quadrature with explicit substitutions at the singular endpoint, so the
-series and quadrature routes verify one another.
+as an integral of a difference kernel) are evaluated by double-exponential
+quadrature over the whole half line, so the series and quadrature routes
+verify one another.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from itertools import accumulate, count, islice
 from .counting import CountingFunction
 from .errors import (ConvergenceError, DomainError, ParameterRangeError, PoleError,
                      PreconditionError)
-from .quadrature import QuadSettings, exp_tail_cutoff, integrate
+from .quadrature import QuadSettings, integrate
 from .rationals import as_rational
 from .reports import Record
 
@@ -366,54 +366,49 @@ def gamma_series(r, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:
     if k is not None:
         if k >= 0:
             raise DomainError(f"order must be negative, got {r!r}")
-        return math.exp(-_terminating_sum(k, x, None, cfg))
+        return _exp_log_gamma(-_terminating_sum(k, x, None, cfg), k, x)
     rf = float(r)
     if not rf < 0.0:
         raise DomainError(f"order must be negative, got {r!r}")
     weighted = _series_limit(rf, x, None, cfg, what=f"gamma series of order {rf} at x={x}")
-    return math.exp(-weighted)
+    return _exp_log_gamma(-weighted, rf, x)
 
 
-def _head_and_tail(head, tail, T: float, budget: float) -> float:
-    """The integral of head over [0, 1] plus that of tail over [1, T], each
-    to a quarter of the error budget."""
-    return integrate(head, 0.0, 1.0, budget / 4.0) + integrate(tail, 1.0, T, budget / 4.0)
+def _exp_log_gamma(log_value: float, r, x: float) -> float:
+    """Gamma_r(x) from its log, refusing a value beyond the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"gamma of order {r} at x={x} is beyond the float range "
+                          f"(log value {log_value:.6g})") from None
 
 
 def gamma_integral(r, x: float, cfg: QuadSettings = DEFAULT_QUAD) -> float:
     """Gamma function of order r < 0 at x > 0 from its integral representation.
 
     log Gamma_r(x) = integral over t in (0, inf) of
-    (1 - e^(-t))^(-r) e^(-x t) / t.  The integrand behaves like t^(-r-1)
-    at 0: on the head [0, 1] the substitution t = v^p with
-    p = max(2, -2/r) leaves only powers v^e with e >= 1 there, which the
-    Gauss-Kronrod rule integrates in a few panels; the infinite range is
-    cut at T with the dropped tail below a tenth of the budget.
+    (1 - e^(-t))^a e^(-x t) / t, a = -r, by the exp-sinh rule at scale
+    min(1, 1/x).  The integrand behaves like t^(a-1) at 0; for a < 1 it is
+    integrated by parts once, which leaves
+    (1/a) (1 - e^(-t))^a e^(-x t) (x + a/t - a/(e^t - 1)), of order t^a there.
     """
     rf = float(r)
     if not rf < 0.0:
         raise DomainError(f"order must be negative, got {r!r}")
     x = _finite_positive(x, "gamma integral")
     a = -rf
-    tol = cfg.tol
-    T = max(exp_tail_cutoff(x, 1.0, tol), 2.0)
-    p = max(2.0, 2.0 / a)
+    if a >= 1.0:
+        def f(t: float) -> float:
+            return (-math.expm1(-t)) ** a * math.exp(-x * t) / t
+    else:
+        b = x / a
 
-    def head(v: float) -> float:
-        # (1-e^-t)^a e^(-xt) / t dt = p v^(pa-1) ((1-e^-t)/t)^a e^(-xt) dv
-        t = v ** p
-        ratio = -math.expm1(-t) / t if t > 0.0 else 1.0
-        return p * v ** (p * a - 1.0) * ratio ** a * math.exp(-x * t)
-
-    def tail(t: float) -> float:
-        return (-math.expm1(-t)) ** a * math.exp(-x * t) / t
-
-    log_value = _head_and_tail(head, tail, T, tol)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DomainError(f"gamma of order {rf} at x={x} is beyond the float range "
-                          f"(log value {log_value:.6g})") from None
+        def f(t: float) -> float:
+            q = -math.expm1(-t)
+            # 1/t - 1/(e^t - 1) = 1/2 - t/12 + ...: 1/2 below t = 1e-8, where 1/t may overflow
+            g = 1.0 / t - math.exp(-t) / q if t > 1e-8 else 0.5
+            return q ** a * math.exp(-x * t) * (b + g)
+    return _exp_log_gamma(integrate(f, min(1.0, 1.0 / x), cfg.tol), rf, x)
 
 
 def monomial_kernel_check(alpha, s: float, w: float,
@@ -421,8 +416,9 @@ def monomial_kernel_check(alpha, s: float, w: float,
     """Evaluate Gamma(w)^(-1) * integral of e^(-(s - alpha) t) t^(w - 1) dt.
 
     The result must equal (s - alpha)^(-w); requires s > alpha and w > 0.
-    On the head [0, 1] the substitution t = v^p with p = max(2, 2/w)
-    smooths the t^(w-1) endpoint, as in :func:`gamma_integral`.
+    The exp-sinh rule runs at scale max(1, w)/(s - alpha), near the peak
+    of the integrand.  For w < 1 the t^(w-1) endpoint is integrated by
+    parts once, as (s - alpha)/w times the integral of e^(-(s - alpha) t) t^w.
     """
     a = float(s) - float(alpha)
     w = float(w)
@@ -431,23 +427,12 @@ def monomial_kernel_check(alpha, s: float, w: float,
     if not w > 0.0:
         raise DomainError(f"kernel integral needs w > 0, got w={w}")
     gw = math.gamma(w)
-    budget = cfg.tol * gw
-    p = max(2.0, 2.0 / w)
+    # by parts, for w < 1: int t^(w-1) e^(-a t) dt = (a/w) int t^w e^(-a t) dt
+    p, factor = (w - 1.0, 1.0) if w >= 1.0 else (w, a / w)
 
-    def head(v: float) -> float:
-        # e^(-a t) t^(w-1) dt = p v^(pw-1) e^(-a v^p) dv
-        return p * v ** (p * w - 1.0) * math.exp(-a * v ** p)
-
-    def tail(t: float) -> float:
-        return math.exp(-a * t) * t ** (w - 1.0)
-
-    T = max(2.0, exp_tail_cutoff(a, 1.0, budget))
-    if w > 1.0:
-        T = max(T, 4.0 * (w - 1.0) / a)
-    # Tail of the Euler integral: below 2 T^(w-1) e^(-aT)/a once aT >= 2(w-1).
-    while 2.0 * T ** max(w - 1.0, 0.0) * math.exp(-a * T) / a > budget / 10.0:
-        T *= 1.5
-    return _head_and_tail(head, tail, T, budget) / gw
+    def f(t: float) -> float:
+        return math.exp(-a * t) * t ** p
+    return factor * integrate(f, max(1.0, w) / a, cfg.tol * gw / factor) / gw
 
 
 def log_zeta_integral(n: CountingFunction, s: float,
@@ -458,7 +443,7 @@ def log_zeta_integral(n: CountingFunction, s: float,
     log zeta(s) = integral over t in (0, inf) of
     (sum_a m(a) e^(-(s - a) t)) / t, a Frullani-type integral; the
     integrand extends continuously to t = 0.  Requires s above every
-    exponent.
+    exponent; the exp-sinh rule runs at scale min(1, 1/(s - max exponent)).
     """
     s = float(s)
     if n.multiplicity_sum() != 0:
@@ -472,6 +457,7 @@ def log_zeta_integral(n: CountingFunction, s: float,
     pairs = [(float(a), float(m)) for a, m in n.terms]
     # Taylor moments of sum m e^(a t) for the t -> 0 limit of the kernel.
     moments = [sum(m * a ** k for a, m in pairs) / math.factorial(k) for k in range(1, 6)]
+    rates = [(s - a, m) for a, m in pairs]
 
     def kernel(t: float) -> float:
         if t < 1e-4:
@@ -479,11 +465,12 @@ def log_zeta_integral(n: CountingFunction, s: float,
             for mu in reversed(moments):
                 poly = poly * t + mu
             return poly * math.exp(-s * t)
-        return sum(m * math.exp(-(s - a) * t) for a, m in pairs) / t
+        total = 0.0
+        for rate, m in rates:
+            total += m * math.exp(-rate * t)
+        return total / t
 
-    scale = sum(abs(m) for _, m in pairs)
-    T = max(2.0, exp_tail_cutoff(s - amax, scale, cfg.tol))
-    return _head_and_tail(kernel, kernel, T, cfg.tol)
+    return integrate(kernel, min(1.0, 1.0 / (s - amax)), cfg.tol)
 
 
 def vanishing_check(r, m: int, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:

@@ -18,6 +18,7 @@ Claims covered:
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -133,6 +134,13 @@ def test_example_gamma_integral():
     code, out, _ = run_cli("gamma", "--order", "-1", "--x", "1", "--method", "integral")
     assert code == 0
     assert float(out) == pytest.approx(2.0, abs=1e-8)
+
+
+def test_gamma_integral_at_large_x():
+    # (x + 1) / x = 1.000001: the mass of the integrand sits at t below 1/x
+    code, out, _ = run_cli("gamma", "--order=-1", "--x", "1e6", "--method", "integral")
+    assert code == 0
+    assert abs(math.log(float(out)) - math.log1p(1e-6)) <= 1e-10
 
 
 def test_spec_f1_zeta():

@@ -6,7 +6,9 @@ Unicode minus, the empty string, and integer orders far beyond what floats
 resolve) ends in a documented exit code 0-4, with no traceback on stderr,
 within 10 s.  The examples run in-process through ``cli.run``, where any
 exception that escapes it fails the test; a small sample also runs as real
-processes.
+processes.  The argv the gate has found are pinned as examples, and each
+ends in its own exit code.  A failing draw prints its ``@reproduce_failure``
+line, since the draws are not seeded.
 """
 
 from __future__ import annotations
@@ -81,14 +83,41 @@ def _check(code: int, err: str, seconds: float) -> None:
     assert seconds < 10.0
 
 
-@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+#: Argv the gate found, each of which once ended in a traceback.
+FOUND = (
+    ["gamma", "--order=-1", "--x=1e-300", "--method=integral", "--tol=1e-300"],  # ZeroDivisionError
+    ["gamma", "--order=-1", "--x=5e-324", "--method=integral"],                  # ZeroDivisionError
+    ["gamma", "--order=-1", "--x=1e300", "--method=integral", "--tol=1e300"],    # ValueError
+    ["gamma", "--order=-3/2", "--x=5e-324"],                                      # OverflowError
+)
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow],
+          print_blob=True)
 @given(argvs())
 @example(["gamma", "--order=-100", "--x=1", "--method=series"])  # OverflowError before
 @example(["check", "reflection", "--s=5e-324", "--json"])         # OverflowError before
+@example(FOUND[0])
+@example(FOUND[1])
+@example(FOUND[2])
+@example(FOUND[3])
 def test_cli_fuzz_in_process(argv):
     start = time.perf_counter()
     code, _, err = run_cli(*argv)
     _check(code, err, time.perf_counter() - start)
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    (FOUND[0], 4, ""),        # the node table ends before the budget is met
+    (FOUND[1], 4, ""),
+    (FOUND[2], 0, "1.0\n"),   # (x + 1)/x rounds to 1, well within the tolerance
+    (FOUND[3], 3, ""),        # e^744 is beyond the float range
+])
+def test_found_argv_end_in_their_exit_code(argv, code, out):
+    got, printed, err = run_cli(*argv)
+    assert (got, printed) == (code, out)
+    assert err.count("abszeta: error:") == (1 if code else 0)
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

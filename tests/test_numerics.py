@@ -4,7 +4,7 @@ Oracle policy.  Values marked FROZEN below were computed offline with
 mpmath at 40 significant digits through the *integral representations*
 of the functions (a code path entirely independent of the series and
 Euler-Maclaurin implementations under test) and embedded as literals.
-The adaptive integrator is checked against mpmath's own quadrature at
+The exp-sinh integrator is checked against mpmath's own quadrature at
 30 digits, run live.  Closed forms (pi^2/6, -1/12, finite rational sums,
 libm lgamma) serve as additional independent anchors.
 
@@ -26,10 +26,14 @@ Claims covered:
 - the raw tail bound really bounds the observed remainder;
 - gamma via series, via integral, and via the exact product all agree;
 - kernel quadrature matches closed forms; log-zeta integral matches the
-  log of the factored product;
-- the G7K15 integrator: rule constants exact to their polynomial degrees,
-  true error within the budget on closed forms and on the gamma and
-  kernel integrands, ConvergenceError on non-finite integrand values;
+  log of the factored product; the gamma and log-zeta integrals keep the
+  mass near t = 0 at large x and s;
+- the exp-sinh integrator: true error within the budget on closed forms,
+  on finite panels mapped onto the half line, and on the gamma, kernel and
+  log-zeta integrands over orders -0.01..-30 and decay rates 1e-3..1e6;
+  ConvergenceError on a non-finite or non-decaying integrand, on an
+  oscillation the finest step does not resolve, and on a budget below
+  rounding;
 - classical Hurwitz zeta: FROZEN values, exact Bernoulli-polynomial
   values at non-positive integer w, recurrence property;
 - normalized log-gamma and the reflection identity vs libm;
@@ -73,8 +77,7 @@ from abszeta.numerics import (
     zeta_series,
     zeta_series_exact,
 )
-import abszeta.quadrature as quad
-from abszeta.quadrature import QuadSettings, _panel, exp_tail_cutoff, integrate
+from abszeta.quadrature import QuadSettings, integrate
 from abszeta.symzeta import eval_hurwitz, eval_power_product, zeta_of
 
 # ---------------------------------------------------------------------------
@@ -326,7 +329,8 @@ def _mellin_zeta(r: float, w: complex, x: float):
 
 def _mellin_log_gamma(r: float, x: float):
     """log Gamma_r(x) = int (1 - e^(-t))^(-r) e^(-xt) / t dt, i.e. minus the
-    w-derivative at w = 0 of the Mellin integral above."""
+    w-derivative at w = 0 of the Mellin integral above.  The breakpoints
+    follow the decay length 1/x on both pieces."""
     a, x = -mpmath.mpf(r), mpmath.mpf(x)
 
     def head(v):  # t = v^(1/a)
@@ -336,7 +340,10 @@ def _mellin_log_gamma(r: float, x: float):
     def tail(t):
         return (-mpmath.expm1(-t)) ** a * mpmath.exp(-x * t) / t
 
-    return mpmath.quad(head, [0, 1]) + mpmath.quad(tail, [1, 10, 60, mpmath.inf])
+    cuts = [c / x for c in (0.01, 0.1, 1, 10, 100)]
+    head_points = [0] + [c ** a for c in cuts if c < 1] + [1]
+    tail_points = sorted({1, 10, 60, *(c for c in cuts if c > 1)}) + [mpmath.inf]
+    return mpmath.quad(head, head_points) + mpmath.quad(tail, tail_points)
 
 
 def test_mellin_oracles_match_closed_forms():
@@ -496,6 +503,16 @@ def test_gamma_routes_match_exact_product(r, x):
     assert gamma_integral(r, x) == pytest.approx(exact, rel=1e-9)
 
 
+@pytest.mark.parametrize("r", [-1, -2, -3])
+@pytest.mark.parametrize("x", [1e4, 1e6, 1e8])
+def test_gamma_integral_keeps_the_mass_near_zero(r, x):
+    """At large x the integrand's mass sits at t below 1/x, where a fixed
+    panel on [0, 1] sees e^(-x t) = 0 at every node."""
+    exact = eval_power_product(neg_gamma(-r), x).real
+    got = gamma_integral(r, x, QuadSettings(tol=1e-10))
+    assert abs(math.log(got) - math.log(exact)) <= 1e-10
+
+
 @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
 def test_integer_order_float_routes_are_accurate_or_refuse(x):
     """The product and series routes of an integer-order gamma either come
@@ -555,6 +572,12 @@ def test_log_zeta_integral_matches_factored_log(terms, s):
     assert log_zeta_integral(n, s) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("s", [1e3, 1e5, 1e8])
+def test_log_zeta_integral_keeps_the_mass_near_zero(s):
+    expected = math.log1p(1.0 / (s - 1.0))  # log(s / (s - 1))
+    assert abs(log_zeta_integral(cf.U_MINUS_ONE, s) - expected) <= 1e-10
+
+
 def test_log_zeta_integral_validation():
     with pytest.raises(PreconditionError):
         log_zeta_integral(cf.ONE, 3.0)  # multiplicity sum 1: kernel not integrable
@@ -567,32 +590,10 @@ def test_quad_settings_validation():
         QuadSettings(tol=-1.0)
 
 
-def test_integrate_known_value_and_failure():
-    assert integrate(math.exp, 0.0, 1.0, 1e-12, 50) == pytest.approx(
-        math.e - 1.0, rel=1e-12)
-    with pytest.raises(ConvergenceError):
-        integrate(lambda t: math.cos(200.0 * t * t), 0.0, 20.0, 1e-13, 2)
-
-
-def test_gauss_kronrod_constants_are_exact_to_their_degrees():
-    xs = (quad.X1, quad.X2, quad.X3, quad.X4, quad.X5, quad.X6, quad.X7)
-    kronrod = [(0.0, quad.K8)] + [
-        (sign * x, w) for x, w in zip(xs, (quad.K1, quad.K2, quad.K3, quad.K4,
-                                           quad.K5, quad.K6, quad.K7)) for sign in (1, -1)]
-    gauss = [(0.0, quad.G8)] + [
-        (sign * x, w) for x, w in zip(xs[1::2], (quad.G2, quad.G4, quad.G6)) for sign in (1, -1)]
-    for rule, degree in ((kronrod, 23), (gauss, 13)):
-        for k in range(degree + 1):
-            moment = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert math.fsum(w * x ** k for x, w in rule) == pytest.approx(moment, abs=2e-16)
-
-
-def test_kronrod_panel_is_exact_to_its_degree():
-    # one panel: the Kronrod value is exact through degree 22 and the
-    # 7-point Gauss rule through degree 13, so the estimate is at roundoff
-    assert _panel(lambda t: 23.0 * t ** 22, -1.0, 1.0)[3] == pytest.approx(2.0, rel=1e-14)
-    assert integrate(lambda t: 14.0 * t ** 13 + 1.0, 0.0, 1.0, 1e-13, 1) == pytest.approx(
-        2.0, rel=1e-14)
+def _over(f, a: float, b: float):
+    """f on [a, b] as an integrand over (0, inf), by x = a + (b - a) t / (1 + t)."""
+    width = b - a
+    return lambda t: f(a + width * t / (1.0 + t)) * width / (1.0 + t) ** 2
 
 
 @pytest.mark.parametrize("f,a,b,exact", [
@@ -602,14 +603,20 @@ def test_kronrod_panel_is_exact_to_its_degree():
 ])
 @pytest.mark.parametrize("epsabs", [1e-6, 1e-12])
 def test_integrate_closed_forms_within_budget(f, a, b, exact, epsabs):
-    assert abs(integrate(f, a, b, epsabs) - exact) <= epsabs
+    assert abs(integrate(_over(f, a, b), 1.0, epsabs) - exact) <= epsabs
 
 
-# the integrands of gamma_integral's and monomial_kernel_check's panels,
-# once in floats and once in mpmath
+# the t = v^p forms of the gamma and kernel integrands on [0, 1], and
+# their tails, once in floats and once in mpmath: integrands with an
+# algebraic endpoint, integrated over finite panels through _over
 def _gamma_head(a, x, m):
     p = max(2.0, 2.0 / a)
-    return lambda v: p * v ** (p * a - 1) * (-m.expm1(-v ** p) / v ** p) ** a * m.exp(-x * v ** p)
+
+    def head(v):
+        t = v ** p
+        ratio = -m.expm1(-t) / t if t else 1  # t underflows at the nodes nearest v = 0
+        return p * v ** (p * a - 1) * ratio ** a * m.exp(-x * t)
+    return head
 
 
 def _gamma_tail(a, x, m):
@@ -635,24 +642,77 @@ def _kernel_head(a, w, m):
 def test_integrate_true_error_within_budget(make, args, lo, hi, epsabs):
     with mpmath.workdps(30):
         reference = mpmath.quad(make(*args, mpmath), [lo, (lo + hi) / 2, hi])
-    got = integrate(make(*args, math), lo, hi, epsabs)
+    got = integrate(_over(make(*args, math), lo, hi), 1.0, epsabs)
     assert abs(got - float(reference)) <= epsabs
 
 
-def test_integrate_refuses_non_finite_values_and_reversed_panels():
-    with pytest.raises(ConvergenceError):
-        integrate(lambda t: math.nan, 0.0, 1.0, 1e-8)
-    with pytest.raises(ConvergenceError):
-        integrate(lambda t: math.inf if t > 0.9 else 1.0, 0.0, 1.0, 1e-8)
-    for a, b in ((1.0, 0.0), (1.0, 1.0)):
+HALF_LINE_ORDERS = [-0.01, -0.05, -0.5, -1.0, -6.0, -30.0]
+DECAY_RATES = [1e-3, 1.0, 1e3, 1e6]
+BUDGETS = (2.5e-7, 2.5e-10)
+
+
+@pytest.mark.parametrize("r", HALF_LINE_ORDERS)
+@pytest.mark.parametrize("x", DECAY_RATES)
+def test_gamma_integral_true_error_within_budget(r, x):
+    """The gamma integrand over the whole half line, on both sides of the
+    order -1, where the endpoint t^(-r-1) turns from vanishing to singular."""
+    with mpmath.workdps(30):
+        truth = _mellin_log_gamma(r, x)
+    for tol in BUDGETS:
+        got = math.log(gamma_integral(r, x, QuadSettings(tol)))
+        assert abs(got - truth) <= tol, (r, x, tol, float(got - truth))
+
+
+@pytest.mark.parametrize("w", [-r for r in HALF_LINE_ORDERS])
+@pytest.mark.parametrize("rate", DECAY_RATES)
+def test_monomial_kernel_true_error_within_budget(w, rate):
+    """Within tol of (s - alpha)^(-w), or refused where tol is below 1e-12
+    of that value: such a budget is near what floats resolve."""
+    truth = mpmath.mpf(rate) ** -w
+    for tol in BUDGETS:
+        try:
+            got = monomial_kernel_check(0, rate, w, QuadSettings(tol))
+        except ConvergenceError:
+            assert tol < 1e-12 * truth, (w, rate, tol)
+            continue
+        assert abs(got - truth) <= tol, (w, rate, tol, float(got - truth))
+
+
+@pytest.mark.parametrize("terms", [
+    [(1, 1), (0, -1)],                          # u - 1
+    [(2, 1), (1, -2), (0, 1)],                  # (u - 1)^2
+    [(3, 1), (1, -1)],                          # u^3 - u
+    [(4, 1), (3, -1), (2, -1), (1, 1)],         # GL(2)
+], ids=["u-1", "(u-1)^2", "u^3-u", "GL(2)"])
+@pytest.mark.parametrize("gap", DECAY_RATES)
+def test_log_zeta_integral_true_error_within_budget(terms, gap):
+    n = cf.normalize(terms)
+    top = max(a for a, _ in terms)
+    with mpmath.workdps(30):
+        s = mpmath.mpf(top) + gap
+        truth = -mpmath.fsum(m * mpmath.log(s - a) for a, m in terms)
+    for tol in BUDGETS:
+        got = log_zeta_integral(n, top + gap, QuadSettings(tol))
+        assert abs(got - truth) <= tol, (terms, gap, tol, float(got - truth))
+
+
+def test_integrate_refuses_what_it_cannot_integrate():
+    """A non-finite value, a tail that does not decay, an oscillation the
+    finest step does not resolve, a budget below the rounding of the value,
+    and a scale that is not positive and finite."""
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate(lambda t: math.nan, 1.0, 1e-8)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        integrate(lambda t: math.inf if t > 0.9 else math.exp(-t), 1.0, 1e-8)
+    with pytest.raises(ConvergenceError, match="end of the node table"):
+        integrate(lambda t: 1.0 / (1.0 + t), 1.0, 1e-8)
+    with pytest.raises(ConvergenceError, match="levels still differ"):
+        integrate(lambda t: math.exp(-t) * math.cos(200.0 * t), 1.0, 1e-10)
+    with pytest.raises(ConvergenceError, match="rounding"):
+        integrate(lambda t: math.exp(-t), 1.0, 1e-18)
+    for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
-            integrate(math.exp, a, b, 1e-8)
-
-
-def test_exp_tail_cutoff_controls_dropped_mass():
-    rate, scale, tol = 1.5, 2.0, 1e-10
-    T = exp_tail_cutoff(rate, scale, tol)
-    assert scale * math.exp(-rate * T) / rate <= tol
+            integrate(math.exp, scale, 1e-8)
 
 
 # ---------------------------------------------------------------------------
