@@ -14,53 +14,48 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .counting import (CountingFunction, ONE, U, U_MINUS_ONE, ZERO, eval_at,
-                       eval_rational, normalize, oplus, otimes, tensor_power)
+                       normalize, oplus, otimes, tensor_power)
 from .errors import (AbsZetaError, BranchCutWarning, ConvergenceError, DomainError,
                      NoFunctionalEquationError, ParameterRangeError, ParseError,
                      PoleError, PreconditionError, UnknownSchemeError)
 from .gammasine import (MultiGammaSpec, PeriodVector, multiperiod_gamma,
-                        multiperiod_sine, neg_gamma, neg_sine, neg_zeta_terms,
+                        multiperiod_sine, neg_gamma, neg_sine,
                         tensor_power_fe_check)
-from .catalog import (SchemeSpec, catalog_entries, counting_of, custom,
-                      fe_params_of, gl, gm, gm_tensor, sl, spec_f1,
-                      zeta_of_scheme)
+from .catalog import (SchemeSpec, catalog_entries, counting_of, fe_params_of,
+                      gl, gm, gm_tensor, sl, spec_f1, zeta_of_scheme)
 from .numerics import (SeriesSettings, binomial_identity_sum, classical_hurwitz,
                        euler_reflection_check, gamma_integral, gamma_series,
-                       gen_binom, log_gamma_one, log_zeta_integral,
-                       monomial_kernel_check, raw_tail_bound, vanishing_check,
-                       zeta_series, zeta_series_exact)
+                       log_gamma_one, log_zeta_integral, monomial_kernel_check,
+                       vanishing_check, zeta_series, zeta_series_exact)
 from .parser import parse_expr, parse_scheme
 from .quadrature import QuadSettings
 from .rationals import Rational, as_rational, qstr
 from .reports import CheckReport
-from .symzeta import (FEParams, FEReport, HurwitzForm, PowerProduct,
-                      check_functional_equation, counting_of_product,
-                      eval_hurwitz, eval_hurwitz_exact, eval_power_product,
-                      hurwitz_str, log_derivative_at_zero, reflected, zeta_of)
+from .symzeta import (FEParams, FEReport, PowerProduct, check_functional_equation,
+                      eval_hurwitz, eval_power_product, hurwitz_str, reflected,
+                      zeta_of)
 
 __all__ = [
     "__version__",
     # counting
     "CountingFunction", "ZERO", "ONE", "U", "U_MINUS_ONE",
-    "normalize", "oplus", "otimes", "tensor_power", "eval_at", "eval_rational",
+    "normalize", "oplus", "otimes", "tensor_power", "eval_at",
     # errors
     "AbsZetaError", "ParseError", "UnknownSchemeError", "DomainError",
     "PoleError", "PreconditionError", "ParameterRangeError",
     "NoFunctionalEquationError", "ConvergenceError", "BranchCutWarning",
     # symbolic zeta
-    "HurwitzForm", "PowerProduct", "FEParams", "FEReport",
-    "hurwitz_str", "zeta_of", "counting_of_product", "eval_hurwitz",
-    "eval_hurwitz_exact", "eval_power_product", "log_derivative_at_zero",
-    "reflected", "check_functional_equation",
+    "PowerProduct", "FEParams", "FEReport", "hurwitz_str", "zeta_of",
+    "eval_hurwitz", "eval_power_product", "reflected", "check_functional_equation",
     # gamma / sine
-    "PeriodVector", "MultiGammaSpec", "neg_zeta_terms", "neg_gamma", "neg_sine",
+    "PeriodVector", "MultiGammaSpec", "neg_gamma", "neg_sine",
     "multiperiod_gamma", "multiperiod_sine", "tensor_power_fe_check",
     # catalog
-    "SchemeSpec", "spec_f1", "gm", "gm_tensor", "sl", "gl", "custom",
+    "SchemeSpec", "spec_f1", "gm", "gm_tensor", "sl", "gl",
     "counting_of", "zeta_of_scheme", "fe_params_of", "catalog_entries",
     # numerics
-    "SeriesSettings", "QuadSettings", "gen_binom", "zeta_series",
-    "zeta_series_exact", "raw_tail_bound", "gamma_series", "gamma_integral",
+    "SeriesSettings", "QuadSettings", "zeta_series", "zeta_series_exact",
+    "gamma_series", "gamma_integral",
     "monomial_kernel_check", "log_zeta_integral", "vanishing_check",
     "binomial_identity_sum", "classical_hurwitz", "log_gamma_one",
     "euler_reflection_check",

@@ -6,8 +6,7 @@ Supported kinds:
 * ``Gm``       -- the multiplicative group, N(u) = u - 1;
 * ``Gm^r``     -- its r-fold tensor power, N(u) = (u - 1)^r;
 * ``SL(r)``    -- N(u) = u^(r^2-1) * prod_{j=2..r} (1 - u^-j);
-* ``GL(r)``    -- N(u) = u^(r^2) * prod_{j=1..r} (1 - u^-j);
-* ``Custom``   -- any counting function supplied by the caller.
+* ``GL(r)``    -- N(u) = u^(r^2) * prod_{j=1..r} (1 - u^-j).
 
 Every named scheme other than SpecF1 has dimension d and a period vector
 w, and its absolute zeta equals the multi-period gamma function of the
@@ -45,7 +44,6 @@ GM = "Gm"
 GM_TENSOR = "GmTensor"
 SL = "SL"
 GL = "GL"
-CUSTOM = "Custom"
 
 
 class SchemeKind(Record):
@@ -76,23 +74,18 @@ SCHEMES: dict[str, SchemeKind] = {
 class SchemeSpec(Record):
     """A scheme the package knows how to count.
 
-    ``r`` is the rank parameter for the parametric kinds (tensor power or
-    matrix-group size); ``custom_counting`` carries the user-supplied
-    counting function for kind ``Custom``.  Any other kind needs a row in
-    :data:`SCHEMES`, against which the rank is checked and the rest is read.
+    ``kind`` names a row of :data:`SCHEMES`, against which the rank
+    parameter ``r`` (tensor power or matrix-group size) is checked and from
+    which the rest is read.
     """
 
-    __slots__ = ("kind", "r", "custom_counting")
+    __slots__ = ("kind", "r")
 
-    def __init__(self, kind: str, r: int | None = None,
-                 custom_counting: CountingFunction | None = None):
+    def __init__(self, kind: str, r: int | None = None):
         row = SCHEMES.get(kind)
-        if row is None and kind != CUSTOM:
+        if row is None:
             raise ParameterRangeError(f"unknown scheme kind {kind!r}")
-        if row is None and not isinstance(custom_counting, CountingFunction):
-            raise ParameterRangeError(
-                f"a Custom scheme needs a counting function, got {custom_counting!r}")
-        if row and row.min_r is not None:
+        if row.min_r is not None:
             if not isinstance(r, int) or isinstance(r, bool) or r < row.min_r:
                 raise ParameterRangeError(
                     f"{row.template.format(r='r')} needs an integer r >= {row.min_r}, got {r!r}")
@@ -101,29 +94,29 @@ class SchemeSpec(Record):
                 raise ParameterRangeError(
                     f"{row.template.format(r='r')} exceeds the rank budget: "
                     f"total period above {MAX_TOTAL_PERIOD}")
-        super().__init__(kind, r, custom_counting)
+        super().__init__(kind, r)
 
     @property
-    def _row(self) -> SchemeKind | None:
-        return SCHEMES.get(self.kind)
+    def _row(self) -> SchemeKind:
+        return SCHEMES[self.kind]
 
     @property
     def name(self) -> str:
-        return self._row.template.format(r=self.r) if self._row else "Custom"
+        return self._row.template.format(r=self.r)
 
     @property
-    def dimension(self) -> int | None:
+    def dimension(self) -> int:
         """Dimension d (the top exponent of the counting function)."""
-        return self._row.dimension(self.r) if self._row else None
+        return self._row.dimension(self.r)
 
     @property
-    def rank(self) -> int | None:
+    def rank(self) -> int:
         """Number of periods (the order magnitude of the gamma factor)."""
-        return len(self._row.periods(self.r)) if self._row else None
+        return len(self._row.periods(self.r))
 
     @property
     def periods(self) -> PeriodVector | None:
-        ws = self._row.periods(self.r) if self._row else ()
+        ws = self._row.periods(self.r)
         return PeriodVector(tuple([Fraction(w) for w in ws])) if ws else None
 
 
@@ -147,14 +140,8 @@ def gl(r: int) -> SchemeSpec:
     return SchemeSpec(GL, r)
 
 
-def custom(n: CountingFunction) -> SchemeSpec:
-    return SchemeSpec(CUSTOM, custom_counting=n)
-
-
 def counting_of(spec: SchemeSpec) -> CountingFunction:
     """Counting function of a scheme: u^d * prod over the periods of (1 - u^-w)."""
-    if spec.kind == CUSTOM:
-        return spec.custom_counting
     row = SCHEMES[spec.kind]
     return cf.tensor_product([(cf.normalize([(row.dimension(spec.r), 1)]), 1)]
                              + [(cf.normalize([(0, 1), (-w, -1)]), k)
@@ -191,7 +178,7 @@ def fe_params_of(spec: SchemeSpec) -> FEParams:
     """Functional-equation center and sign for schemes that have one.
 
     The center is 2d - |w| (dimension d, total period |w|) and the sign is
-    (-1)^rank; SpecF1 and Custom schemes have no equation on record.
+    (-1)^rank; SpecF1 has no equation on record.
     """
     if spec.periods is None:
         raise NoFunctionalEquationError(f"no functional equation on record for {spec.name}")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import DomainError, ParameterRangeError
-from .rationals import as_rational, canonical_terms, qstr, signed_sum
+from .rationals import canonical_terms, qstr, signed_sum
 from .reports import Record
 
 TermPair = Tuple[Fraction, Fraction]
@@ -58,28 +58,11 @@ class CountingFunction(Record):
     def __init__(self, terms: tuple[TermPair, ...]):
         object.__setattr__(self, "terms", terms)
 
-    def as_dict(self) -> dict[Fraction, Fraction]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def exponents(self) -> tuple[Fraction, ...]:
-        return tuple(a for a, _ in self.terms)
-
-    def multiplicity(self, exponent) -> Fraction:
-        target = as_rational(exponent)
-        for a, m in self.terms:
-            if a == target:
-                return m
-        return Fraction(0)
-
     def multiplicity_sum(self) -> Fraction:
         return sum((m for _, m in self.terms), Fraction(0))
-
-    def weighted_multiplicity_sum(self) -> Fraction:
-        """Sum of exponent * multiplicity over all terms."""
-        return sum((a * m for a, m in self.terms), Fraction(0))
 
     def max_exponent(self) -> Fraction | None:
         return self.terms[0][0] if self.terms else None
@@ -283,19 +266,6 @@ def eval_at(n: CountingFunction, u: float) -> float:
         total = math.inf
     if not math.isfinite(total):
         raise DomainError(f"the value N(u) at u={u} must be finite, got {total}")
-    return total
-
-
-def eval_rational(n: CountingFunction, u) -> Fraction:
-    """Exact evaluation at a rational point; requires integer exponents."""
-    u = as_rational(u)
-    total = Fraction(0)
-    for a, m in n.terms:
-        if a.denominator != 1:
-            raise DomainError(f"exact evaluation needs integer exponents, found {qstr(a)}")
-        if a < 0 and u == 0:
-            raise DomainError("negative exponent at u = 0")
-        total += m * u ** a.numerator
     return total
 
 

@@ -113,12 +113,6 @@ def _require_positive_order_magnitude(r: int) -> None:
         raise ParameterRangeError(f"order magnitude above {MAX_PERIODS} (the rank budget)")
 
 
-def neg_zeta_terms(r: int) -> counting.CountingFunction:
-    """Hurwitz-type form of order -r: shift -n carries (-1)^n C(r, n), n = 0..r."""
-    _require_positive_order_magnitude(r)
-    return counting.normalize((-n, (-1) ** n * math.comb(r, n)) for n in range(r + 1))
-
-
 def neg_gamma(r: int) -> PowerProduct:
     """Gamma function of order -r as a finite product in x.
 

@@ -25,9 +25,6 @@ from .errors import BranchCutWarning, ConvergenceError, DomainError, PoleError, 
 from .rationals import as_rational, canonical_terms, qstr, signed_sum
 from .reports import Record
 
-#: A Hurwitz-type form has its counting function's term map, so it is one.
-HurwitzForm = CountingFunction
-
 FactorPair = Tuple[Fraction, Fraction]
 
 #: Largest relative rounding error :func:`eval_power_product` returns.
@@ -68,19 +65,8 @@ class PowerProduct(Record):
     def is_one(self) -> bool:
         return not self.factors
 
-    def roots(self) -> tuple[Fraction, ...]:
-        return tuple(r for r, _ in self.factors)
-
     def exponent_sum(self) -> Fraction:
         return sum((e for _, e in self.factors), Fraction(0))
-
-    def inverse(self) -> "PowerProduct":
-        return PowerProduct(tuple([(r, -e) for r, e in self.factors]), self.variable)
-
-    def pow_int(self, k: int) -> "PowerProduct":
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError("integer power expected")
-        return normalize_power_product(((r, k * e) for r, e in self.factors), self.variable)
 
     def times(self, other: "PowerProduct") -> "PowerProduct":
         return normalize_power_product(list(self.factors) + list(other.factors), self.variable)
@@ -90,9 +76,6 @@ class PowerProduct(Record):
         d = as_rational(d)
         return normalize_power_product(((r + d, e) for r, e in self.factors),
                                        variable if variable is not None else self.variable)
-
-    def in_variable(self, variable: str) -> "PowerProduct":
-        return PowerProduct(self.factors, variable)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -138,11 +121,6 @@ def zeta_of(n: CountingFunction, variable: str = "s") -> PowerProduct:
     return PowerProduct(tuple([(a, -m) for a, m in reversed(n.terms)]), variable)
 
 
-def counting_of_product(p: PowerProduct) -> CountingFunction:
-    """Inverse of :func:`zeta_of`: recover the counting function from a product."""
-    return CountingFunction(tuple([(r, -e) for r, e in reversed(p.factors)]))
-
-
 def _finite_complex(value, what: str) -> complex:
     z = complex(value)
     if not (cmath.isfinite(z)):
@@ -164,24 +142,6 @@ def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
     except OverflowError:
         total = complex(math.inf)
     return _finite_complex(total, f"the Hurwitz form's value at w={w}, s={s}")
-
-
-def eval_hurwitz_exact(n: CountingFunction, w: int, x) -> Fraction:
-    """Exact rational evaluation of sum m(a) * (x - a)^(-w) for integer w.
-
-    For w <= 0 the powers are polynomials, so any rational x is fine; for
-    w > 0 the point must avoid every shift.
-    """
-    if not isinstance(w, int) or isinstance(w, bool):
-        raise DomainError(f"exact evaluation needs an integer order, got {w!r}")
-    x = as_rational(x)
-    total = Fraction(0)
-    for a, m in n.terms:
-        d = x - a
-        if d == 0 and w > 0:
-            raise PoleError(f"evaluation point {qstr(x)} coincides with shift {qstr(a)}")
-        total += m * d ** (-w)
-    return total
 
 
 def eval_power_product(p: PowerProduct, s: complex) -> complex:
@@ -226,22 +186,6 @@ def eval_power_product(p: PowerProduct, s: complex) -> complex:
     except OverflowError:
         value = complex(math.inf)
     return _finite_complex(value, f"the power product's value at s={s}")
-
-
-def log_derivative_at_zero(n: CountingFunction, s: complex) -> complex:
-    """d/dw at w = 0 of the Hurwitz-type form of n: -sum m(a) * log(s - a).
-
-    This is the principal logarithm of the associated power product, so
-    exp of it recovers the absolute zeta value.
-    """
-    s = _finite_complex(s, "argument s")
-    total = 0j
-    for a, m in n.terms:
-        d = s - complex(float(a))
-        if d == 0:
-            raise PoleError(f"evaluation point {s} coincides with shift {qstr(a)}")
-        total += -float(m) * cmath.log(d)
-    return total
 
 
 def _require_integer_exponents(p: PowerProduct, what: str) -> None:

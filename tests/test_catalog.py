@@ -8,11 +8,12 @@ Claims covered:
   12, and its cross-check against that gamma refuses wrong counting maps
   and a wrong gamma;
 - the rank budget refuses a total period above MAX_TOTAL_PERIOD unexpanded;
-- dimension equals the top exponent and the weighted multiplicity sum,
-  i.e. N'(1) in the polynomial sense, relates to the period data;
+- dimension equals the top exponent of the counting function, and rank
+  the number of periods;
 - functional-equation parameters: center 2d - |periods|, alternating
   sign, verified to actually hold for a wide parameter sweep;
-- SpecF1 and Custom have no equation on record.
+- SpecF1 has no equation on record; a counting function outside the
+  table is its own scheme, whose zeta is zeta_of of it.
 """
 
 from __future__ import annotations
@@ -59,12 +60,12 @@ def test_base_cases():
 
 
 def test_sl2_counting():
-    assert cat.counting_of(cat.sl(2)).as_dict() == {F(3): F(1), F(1): F(-1)}
+    assert dict(cat.counting_of(cat.sl(2)).terms) == {F(3): F(1), F(1): F(-1)}
 
 
 def test_gl2_counting():
     # u^4 (1 - 1/u)(1 - 1/u^2) = u^4 - u^3 - u^2 + u
-    assert cat.counting_of(cat.gl(2)).as_dict() == {
+    assert dict(cat.counting_of(cat.gl(2)).terms) == {
         F(4): F(1), F(3): F(-1), F(2): F(-1), F(1): F(1)}
 
 
@@ -74,7 +75,7 @@ def test_gl2_counting():
     cat.gl(1), cat.gl(2), cat.gl(3), cat.gl(4),
 ])
 def test_counting_matches_sympy_expansion(spec):
-    assert cat.counting_of(spec).as_dict() == sympy_counting(spec)
+    assert dict(cat.counting_of(spec).terms) == sympy_counting(spec)
 
 
 @pytest.mark.parametrize("spec,expected_d,expected_rank", [
@@ -104,7 +105,6 @@ def test_names():
     assert cat.gl(1).name == "GL(1)"
     assert cat.gm_tensor(2).name == "Gm^2"
     assert cat.gm().name == "Gm"
-    assert cat.custom(cf.U).name == "Custom"
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +202,9 @@ def test_rank_budget():
 
 
 def test_zeta_custom_scheme():
+    # a scheme outside the table is given by its counting function n, its zeta by zeta_of(n)
     n = cf.normalize([(2, 1), (0, -3)])
-    assert cat.zeta_of_scheme(cat.custom(n)).factor_map() == {F(2): F(-1), F(0): F(3)}
+    assert zeta_of(n).factor_map() == {F(2): F(-1), F(0): F(3)}
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ def test_fe_actually_holds(spec):
     assert rep.holds, rep.mismatches
 
 
-@pytest.mark.parametrize("spec", [cat.spec_f1(), cat.custom(cf.U)])
+@pytest.mark.parametrize("spec", [cat.spec_f1()])
 def test_no_fe_on_record(spec):
     with pytest.raises(NoFunctionalEquationError):
         cat.fe_params_of(spec)
@@ -266,10 +267,9 @@ def test_constructor_validation():
         with pytest.raises(ParameterRangeError):
             bad_call()
     # a kind counting_of cannot count is refused when the spec is built
-    with pytest.raises(ParameterRangeError, match="unknown scheme kind 'Foo'"):
-        cat.SchemeSpec("Foo", 3)
-    with pytest.raises(ParameterRangeError, match="Custom scheme needs a counting function"):
-        cat.SchemeSpec(cat.CUSTOM)
+    for kind in ("Foo", "Custom"):
+        with pytest.raises(ParameterRangeError, match=f"unknown scheme kind '{kind}'"):
+            cat.SchemeSpec(kind, 3)
 
 
 def test_catalog_entries_are_consistent():

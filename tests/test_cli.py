@@ -141,6 +141,9 @@ def test_gamma_integral_at_large_x():
     code, out, _ = run_cli("gamma", "--order=-1", "--x", "1e6", "--method", "integral")
     assert code == 0
     assert abs(math.log(float(out)) - math.log1p(1e-6)) <= 1e-10
+    # an order in (-1, 0) is integrated by parts, and x / (-order) would overflow
+    assert run_cli("gamma", "--order=-1/2", "--x=1.7e308", "--method", "integral") == (
+        0, "1.0\n", "")
 
 
 def test_spec_f1_zeta():
@@ -444,6 +447,8 @@ def test_golden_output(argv, code, out, err):
     # integer-order gammas whose float routes cannot resolve the cancellation
     *[(("gamma", f"--order={order}", "--x", "1", *method), 4)
       for order in (-60, -100, -200) for method in ((), ("--method", "series"))],
+    # the gamma integral needs a finite order
+    (("gamma", "--order=-inf", "--x", "1", "--method", "integral"), 3),
 ])
 def test_exit_codes(argv, code):
     start = time.perf_counter()

@@ -28,7 +28,7 @@ from conftest import run_cli
 LITERALS = (
     "1e300", "9" * 60, "1e-300", "5e-324", "-3", "-0.5", "-1/2", "1/2", "2.5",
     "-7/3", "1e400", "-1e400", "nan", "inf", "-inf", "−1", "−1/2", "",
-    "-60", "-100", "-200",
+    "-60", "-100", "-200", "1234.5", "-1234.5",
 )
 #: Values a flag also draws, so that well-formed calls reach the deeper layers.
 VALID = {
@@ -89,6 +89,8 @@ FOUND = (
     ["gamma", "--order=-1", "--x=5e-324", "--method=integral"],                  # ZeroDivisionError
     ["gamma", "--order=-1", "--x=1e300", "--method=integral", "--tol=1e300"],    # ValueError
     ["gamma", "--order=-3/2", "--x=5e-324"],                                      # OverflowError
+    ["check", "reflection", "--s=1234.5"],                                        # RecursionError
+    ["check", "reflection", "--s=65537.5"],                                       # RecursionError
 )
 
 
@@ -101,6 +103,8 @@ FOUND = (
 @example(FOUND[1])
 @example(FOUND[2])
 @example(FOUND[3])
+@example(FOUND[4])
+@example(FOUND[5])
 def test_cli_fuzz_in_process(argv):
     start = time.perf_counter()
     code, _, err = run_cli(*argv)
@@ -112,6 +116,9 @@ def test_cli_fuzz_in_process(argv):
     (FOUND[1], 4, ""),
     (FOUND[2], 0, "1.0\n"),   # (x + 1)/x rounds to 1, well within the tolerance
     (FOUND[3], 3, ""),        # e^744 is beyond the float range
+    (FOUND[4], 0, "reflection product at s=1234.5 against -1/(2 sin(pi s)): PASS "
+                  "(value=-0.5000000000035518, expected=-0.5, tol=1e-08)\n"),
+    (FOUND[5], 3, ""),        # |s| above 2^14
 ])
 def test_found_argv_end_in_their_exit_code(argv, code, out):
     got, printed, err = run_cli(*argv)

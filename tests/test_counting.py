@@ -12,8 +12,8 @@ Claims covered:
   three-term bases, dense and sparse, agree with r - 1 repeated products;
 - both expansion budgets, packed bits and term pairs, refuse oversized
   products before multiplying;
-- evaluation at real u > 1 and exact rational evaluation behave and
-  reject out-of-domain points;
+- evaluation at real u > 1 behaves, is exact where the powers of u are,
+  and rejects out-of-domain points;
 - the operations form a commutative semiring (hypothesis property suite).
 """
 
@@ -84,7 +84,7 @@ def test_normalize_drops_cancelling_terms():
 
 def test_sl2_term_map():
     n = cf.normalize([(3, 1), (1, -1)])
-    assert n.as_dict() == {F(3): F(1), F(1): F(-1)}
+    assert dict(n.terms) == {F(3): F(1), F(1): F(-1)}
     assert str(n) == "u^3 - u"
 
 
@@ -99,11 +99,7 @@ def test_string_forms():
 
 def test_accessors():
     n = cf.normalize([(3, 1), (1, -1)])
-    assert n.exponents() == (F(3), F(1))
-    assert n.multiplicity(3) == 1
-    assert n.multiplicity(2) == 0
     assert n.multiplicity_sum() == 0
-    assert n.weighted_multiplicity_sum() == 2
     assert n.max_exponent() == 3
     assert cf.ZERO.max_exponent() is None
 
@@ -113,13 +109,13 @@ def test_accessors():
 
 def test_oplus_is_pointwise_addition():
     gm = cf.U_MINUS_ONE
-    assert cf.oplus(gm, gm).as_dict() == {F(1): F(2), F(0): F(-2)}
+    assert dict(cf.oplus(gm, gm).terms) == {F(1): F(2), F(0): F(-2)}
     assert cf.oplus(gm, cf.ZERO) == gm
 
 
 def test_otimes_square_of_gm():
     sq = cf.otimes(cf.U_MINUS_ONE, cf.U_MINUS_ONE)
-    assert sq.as_dict() == {F(2): F(1), F(1): F(-2), F(0): F(1)}
+    assert dict(sq.terms) == {F(2): F(1), F(1): F(-2), F(0): F(1)}
 
 
 def test_otimes_rational_exponents():
@@ -127,13 +123,13 @@ def test_otimes_rational_exponents():
     assert cf.otimes(half, half) == cf.U
     mixed = cf.otimes(cf.normalize([(F(1, 2), 2), (0, 1)]),
                       cf.normalize([(F(-1, 2), 1)]))
-    assert mixed.as_dict() == {F(0): F(2), F(-1, 2): F(1)}
+    assert dict(mixed.terms) == {F(0): F(2), F(-1, 2): F(1)}
 
 
 def test_tensor_power_expands_binomially():
     cube = cf.tensor_power(cf.U_MINUS_ONE, 3)
     expected = {F(k): F((-1) ** (3 - k) * math.comb(3, k)) for k in range(4)}
-    assert cube.as_dict() == expected
+    assert dict(cube.terms) == expected
 
 
 def _random_base(rng, k, rational):
@@ -216,7 +212,7 @@ def test_largest_packed_power_of_u_plus_one():
     base = cf.normalize([(1, 1), (0, 1)])
     power = cf.tensor_power(base, 2046)
     assert len(power.terms) == 2047
-    assert power.multiplicity(1023) == math.comb(2046, 1023)
+    assert dict(power.terms)[F(1023)] == math.comb(2046, 1023)
     start = time.perf_counter()
     with pytest.raises(ParameterRangeError, match="4194304 packed bits"):
         cf.tensor_power(base, 2047)
@@ -321,11 +317,9 @@ def test_as_rational_refuses_huge_decimal_exponents():
 
 
 def test_eval_rational_exact():
+    """Integer powers are taken directly, so at a u whose powers and sums
+    are exact in floats, eval_at returns the rational value exactly."""
     n = cf.normalize([(3, 1), (1, -1)])
-    assert cf.eval_rational(n, F(1, 2)) == F(1, 8) - F(1, 2)
+    assert cf.eval_at(n, 1.5) == float(F(27, 8) - F(3, 2))
     neg = cf.normalize([(-2, 3)])
-    assert cf.eval_rational(neg, F(2, 3)) == F(27, 4)
-    with pytest.raises(DomainError):
-        cf.eval_rational(cf.normalize([(F(1, 2), 1)]), 2)
-    with pytest.raises(DomainError):
-        cf.eval_rational(neg, 0)
+    assert cf.eval_at(neg, 2.0) == float(F(3, 4))

@@ -2,7 +2,8 @@
 
 Claims covered:
 - the order -r series terminates and its gamma function is the finite
-  product prod (x+n)^((-1)^(n+1) C(r,n)) (oracle: direct float product);
+  product prod (x+n)^((-1)^(n+1) C(r,n)) (oracle: direct float product),
+  the zeta of the binomial Hurwitz form, which evaluates to its sum;
 - the companion sine function is exactly the constant 1, for unit
   periods and for arbitrary positive rational periods;
 - reflecting the gamma product across -(total period) reproduces it with
@@ -38,7 +39,6 @@ from abszeta.gammasine import (
     multiperiod_sine,
     neg_gamma,
     neg_sine,
-    neg_zeta_terms,
     tensor_power_fe_check,
 )
 from abszeta.symzeta import (eval_hurwitz, eval_power_product, hurwitz_str,
@@ -52,17 +52,23 @@ period_lists = st.lists(
 # ---------------------------------------------------------------------------
 # order -r building blocks
 
+def _order_form(r: int) -> cf.CountingFunction:
+    """The Hurwitz-type form of order -r: shift -n carries (-1)^n C(r, n), n = 0..r."""
+    return cf.normalize((-n, (-1) ** n * math.comb(r, n)) for n in range(r + 1))
+
+
 def test_neg_zeta_terms_small_orders():
-    assert neg_zeta_terms(1).terms == ((F(0), F(1)), (F(-1), F(-1)))
-    assert neg_zeta_terms(2).terms == ((F(0), F(1)), (F(-1), F(-2)), (F(-2), F(1)))
-    assert hurwitz_str(neg_zeta_terms(1), "x") == "x^-w - (x+1)^-w"
+    assert _order_form(2).terms == ((F(0), F(1)), (F(-1), F(-2)), (F(-2), F(1)))
+    assert hurwitz_str(_order_form(1), "x") == "x^-w - (x+1)^-w"
+    for r in range(1, 9):  # the w-derivative at 0 of the form, exponentiated
+        assert zeta_of(_order_form(r), "x") == neg_gamma(r)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_neg_zeta_terms_evaluates_to_binomial_sum(r):
     w, x = 2.7, 1.3
     oracle = sum((-1) ** n * math.comb(r, n) * (n + x) ** -w for n in range(r + 1))
-    assert eval_hurwitz(neg_zeta_terms(r), w, x) == pytest.approx(oracle, rel=1e-13)
+    assert eval_hurwitz(_order_form(r), w, x) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_neg_gamma_order_minus_one_is_ratio():
@@ -233,7 +239,7 @@ def test_subset_step_budget():
     PeriodVector(tuple(F(j) for j in range(1, 37)))  # GL(36): 36 periods, 667 sums
 
 
-@pytest.mark.parametrize("make", [neg_zeta_terms, neg_gamma, neg_sine, tensor_power_fe_check])
+@pytest.mark.parametrize("make", [neg_gamma, neg_sine, tensor_power_fe_check])
 def test_order_magnitude_budget(make):
     with pytest.raises(ParameterRangeError, match="rank budget"):
         make(MAX_PERIODS + 1)

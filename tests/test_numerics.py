@@ -10,20 +10,19 @@ libm lgamma) serve as additional independent anchors.
 
 Claims covered:
 - generalized binomial coefficients: exact values, termination for
-  negative integer order, the n^(r-1) envelope, the float coefficient
-  generator equal bit for bit to a scalar loop;
+  negative integer order, the n^(r-1) envelope, the float recurrence of
+  the series loops equal bit for bit to a scalar loop;
 - zeta series: terminating exact path, accelerated path vs FROZEN
   values, agreement with the classical Hurwitz routine at order 1,
   conjugate symmetry in w, honest ConvergenceError when starved;
 - streaming and early stopping: the streamed partial sums equal a plain
-  loop over the coefficient generator, every early-stopped value is
+  loop over the coefficient recurrence, every early-stopped value is
   within tolerance of mpmath (run live) or the call raises
   ConvergenceError, the last checkpoint still accepts one estimate, and
   the term budget and float overflow end in package errors;
 - the series routes and the gamma integral refuse a non-finite x, and
   the zeta series refuses an |Im w| whose phases fall below the
   tolerance;
-- the raw tail bound really bounds the observed remainder;
 - gamma via series, via integral, and via the exact product all agree;
 - kernel quadrature matches closed forms; log-zeta integral matches the
   log of the factored product; the gamma and log-zeta integrals keep the
@@ -36,7 +35,10 @@ Claims covered:
   rounding;
 - classical Hurwitz zeta: FROZEN values, exact Bernoulli-polynomial
   values at non-positive integer w, recurrence property;
-- normalized log-gamma and the reflection identity vs libm;
+- the kernel and the classical Hurwitz zeta map a value beyond the float
+  range to DomainError;
+- normalized log-gamma and the reflection identity vs libm, the
+  identity's continuation summed as its recursion was, up to |s| = 2^14;
 - the tabulated even-index Bernoulli numbers are the exact rationals.
 """
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction as F
-from itertools import islice
+from itertools import accumulate, islice
 
 import mpmath
 import pytest
@@ -55,24 +57,21 @@ import abszeta.counting as cf
 import abszeta.numerics as numerics
 from abszeta.errors import (ConvergenceError, DomainError, ParameterRangeError,
                             PoleError, PreconditionError)
-from abszeta.gammasine import neg_gamma, neg_zeta_terms
+from abszeta.gammasine import neg_gamma
 from abszeta.numerics import (
     BERNOULLI_EVEN,
     MAX_SERIES_TERMS,
     SeriesSettings,
     _checkpoints,
-    _float_coefficients,
+    _exact_coefficients,
     binomial_identity_sum,
     classical_hurwitz,
     euler_reflection_check,
     gamma_integral,
     gamma_series,
-    gen_binom,
-    lgamma_classical,
     log_gamma_one,
     log_zeta_integral,
     monomial_kernel_check,
-    raw_tail_bound,
     vanishing_check,
     zeta_series,
     zeta_series_exact,
@@ -112,47 +111,53 @@ HURWITZ_ORACLE = {
 # ---------------------------------------------------------------------------
 # generalized binomial coefficients
 
+def _coefficient(r, n: int) -> F:
+    """C(r + n - 1, n), the coefficient of the n-th term at order r, exactly."""
+    return next(islice(_exact_coefficients(F(r)), n, None))
+
+
+def _unit_weight_sums(r: float, count: int) -> list[float]:
+    """The partial sums over n < 1, ..., count of the coefficients as the
+    series loops make them, the weight (n + x)^-0 being 1."""
+    return list(numerics._partial_sums(r, 1.0, 0.0, list(range(1, count + 1))))
+
+
 def test_gen_binom_exact_small_orders():
     # (1 - t)^(1/2) expansion: 1 - t/2 - t^2/8 - t^3/16 - 5 t^4/128
-    assert [gen_binom(F(-1, 2), n) for n in range(5)] == [
+    assert [_coefficient(F(-1, 2), n) for n in range(5)] == [
         F(1), F(-1, 2), F(-1, 8), F(-1, 16), F(-5, 128)]
 
 
 def test_gen_binom_positive_integer_order():
     for n in range(10):
-        assert gen_binom(3, n) == math.comb(n + 2, n)
-        assert gen_binom(1, n) == 1
+        assert _coefficient(3, n) == math.comb(n + 2, n)
+        assert _coefficient(1, n) == 1
 
 
 def test_gen_binom_negative_integer_order_terminates():
     for n in range(3):
-        assert gen_binom(-2, n) == (-1) ** n * math.comb(2, n)
-    assert gen_binom(-2, 3) == 0
-    assert gen_binom(-2, 50) == 0
+        assert _coefficient(-2, n) == (-1) ** n * math.comb(2, n)
+    assert _coefficient(-2, 3) == 0
+    assert _coefficient(-2, 50) == 0
 
 
 def test_gen_binom_float_matches_exact():
-    for n in (0, 1, 5, 40):
-        exact = float(gen_binom(F(-5, 2), n))
-        assert gen_binom(-2.5, n) == pytest.approx(exact, rel=1e-13, abs=1e-18)
-
-
-def test_gen_binom_rejects_negative_index():
-    with pytest.raises(DomainError):
-        gen_binom(F(1, 2), -1)
+    exact = list(accumulate(islice(_exact_coefficients(F(-5, 2)), 41)))
+    for got, want in zip(_unit_weight_sums(-2.5, 41), exact):
+        assert got == pytest.approx(float(want), rel=1e-13, abs=1e-18)
 
 
 def test_float_coefficients_match_scalar_recurrence_bitwise():
-    """The float generator reproduces the scalar loops bit for bit:
-    (r + n - 1.0) / n for float r, and exact-integer quotients for integer r."""
+    """The recurrence inline in the series loops reproduces the scalar loops
+    bit for bit: (r + n - 1.0) / n for float r, and exact-integer quotients
+    for integer r; seen through the partial sums of the unit weight."""
     for r in list(range(-60, 4)) + [-2.5, -0.3, 0.7]:
-        h, expected = 1.0, []
+        h, total, expected = 1.0, 0.0, []
         for n in range(1, 81):
-            expected.append(h)
+            total += h
+            expected.append(total)
             h *= (r + n - 1) / n if isinstance(r, int) else (r + n - 1.0) / n
-        r = float(r)
-        assert list(islice(_float_coefficients(r), 80)) == expected
-        assert [gen_binom(r, n) for n in range(80)] == expected
+        assert _unit_weight_sums(float(r), 80) == expected
 
 
 def test_integer_order_values_frozen():
@@ -190,7 +195,7 @@ def test_terminating_series_respects_term_cap():
        st.integers(min_value=1, max_value=200))
 def test_gen_binom_envelope_for_orders_in_minus_one_zero(r, n):
     """|C(n + r - 1, n)| <= |r| n^(r-1) for r in (-1, 0)."""
-    assert abs(float(gen_binom(r, n))) <= float(-r) * float(n) ** (float(r) - 1.0) + 1e-18
+    assert abs(float(_coefficient(r, n))) <= float(-r) * float(n) ** (float(r) - 1.0) + 1e-18
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +234,8 @@ def test_zeta_series_matches_exact_path():
 
 def test_zeta_series_matches_terminating_hurwitz_form():
     w, x = 1.25, 0.8
-    expected = eval_hurwitz(neg_zeta_terms(3), w, x)
+    form = cf.normalize((-n, (-1) ** n * math.comb(3, n)) for n in range(4))
+    expected = eval_hurwitz(form, w, x)
     assert zeta_series(-3, w, x).real == pytest.approx(expected, rel=1e-12)
 
 
@@ -297,8 +303,6 @@ def test_series_settings_validation():
     assert SeriesSettings(max_terms=MAX_SERIES_TERMS).max_terms == MAX_SERIES_TERMS
     with pytest.raises(ParameterRangeError, match=f"budget of {MAX_SERIES_TERMS} terms"):
         SeriesSettings(max_terms=MAX_SERIES_TERMS + 1)
-    with pytest.raises(ParameterRangeError, match=f"budget of {MAX_SERIES_TERMS} terms"):
-        gen_binom(-0.5, MAX_SERIES_TERMS + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +361,15 @@ def test_mellin_oracles_match_closed_forms():
 
 def test_streamed_partial_sums_equal_a_plain_loop():
     """The inline recurrence and the three weight loops add the same terms, in
-    the same order, as a loop over the coefficient generator."""
+    the same order, as a plain loop over the recurrence."""
     r, x, cps = -1.3, 0.7, _checkpoints(1000)
     for w, weight in ((2.2, lambda y: y ** -2.2),
                       (1.5 + 2j, lambda y: cmath.exp(-(1.5 + 2j) * math.log(y))),
                       (None, math.log)):
-        total, expected = 0.0, []
-        for n, h in zip(range(cps[-1]), _float_coefficients(r)):
+        h, total, expected = 1.0, 0.0, []
+        for n in range(cps[-1]):
+            if n:
+                h *= (r + n - 1.0) / n
             total += h * weight(n + x)
             if n + 1 in cps:
                 expected.append(total)
@@ -450,37 +456,6 @@ def test_series_beyond_the_float_range_raise_convergence_error(call):
 
 
 # ---------------------------------------------------------------------------
-# raw tail bound
-
-def test_raw_tail_bound_bounds_observed_remainder():
-    r, w, x, n = -0.5, 2.0, 1.0, 64
-    truth = zeta_series(r, w, x).real
-    partial = sum(gen_binom(r, k) * (k + x) ** -w for k in range(n))
-    remainder = abs(truth - partial)
-    bound = raw_tail_bound(r, w, x, n)
-    assert remainder <= bound
-    assert bound <= 100.0 * remainder  # not uselessly loose either
-
-
-def test_raw_tail_bound_decreases():
-    b1 = raw_tail_bound(-1.5, 3.0, 0.5, 64)
-    b2 = raw_tail_bound(-1.5, 3.0, 0.5, 4096)
-    assert 0.0 < b2 < b1
-
-
-def test_raw_tail_bound_integer_order_vanishes():
-    assert raw_tail_bound(-3, 2.0, 1.0, 10) == 0.0
-    assert raw_tail_bound(-3, 2.0, 1.0, 3) > 0.0  # still inside the finite sum
-
-
-def test_raw_tail_bound_validation():
-    with pytest.raises(DomainError):
-        raw_tail_bound(-0.5, 2.0, 1.0, 1)
-    with pytest.raises(DomainError):
-        raw_tail_bound(-0.5, -1.0, 1.0, 64)
-
-
-# ---------------------------------------------------------------------------
 # gamma: series, integral, exact product
 
 @pytest.mark.parametrize("key", sorted(GAMMA_ORACLE))
@@ -559,6 +534,17 @@ def test_monomial_kernel_validation():
         monomial_kernel_check(2, 2.0, 1.0)
     with pytest.raises(DomainError):
         monomial_kernel_check(0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: monomial_kernel_check(0, 2.0, 180.0),    # Gamma(180) overflows
+    lambda: monomial_kernel_check(0, 2.0, 1e-320),   # Gamma(1e-320) overflows
+    lambda: classical_hurwitz(-300.0, 0.5),          # the Euler-Maclaurin terms overflow
+    lambda: classical_hurwitz(-1e308, 1.0),
+], ids=["kernel-w-180", "kernel-w-1e-320", "hurwitz-w-300", "hurwitz-w-1e308"])
+def test_float_range_failures_are_domain_errors(call):
+    with pytest.raises(DomainError, match="float range"):
+        call()
 
 
 @pytest.mark.parametrize("terms,s", [
@@ -808,8 +794,10 @@ def test_log_gamma_one_vs_libm(x):
 
 
 def test_lgamma_classical_vs_libm():
+    """The classical log Gamma is log_gamma_one plus (1/2) log(2 pi)."""
     for x in (0.2, 1.0, 3.3, 11.0):
-        assert lgamma_classical(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
+        classical = log_gamma_one(x) + 0.5 * math.log(2.0 * math.pi)
+        assert classical == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
 
 
 def test_log_gamma_one_validation():
@@ -830,6 +818,25 @@ def test_euler_reflection_identity(s):
 def test_euler_reflection_poles(s):
     with pytest.raises(DomainError):
         euler_reflection_check(s)
+
+
+def test_reflection_continuation_adds_as_the_recursion_does():
+    """The loop adds -Log(x + k) onto log_gamma_one(x + k) from the innermost
+    term outward: bit for bit the recursion lg(x) = -Log(x) + lg(x + 1)."""
+    def recursive(x):
+        if x > 0.0:
+            return complex(log_gamma_one(x))
+        return -cmath.log(complex(x)) + recursive(x + 1.0)
+    for x in (-0.5, -3.7, -123.25, -600.1):
+        assert numerics._log_gamma_one_analytic(x) == recursive(x)
+
+
+@pytest.mark.parametrize("s", [1234.5, -1234.5, 16383.5, -16383.5])
+def test_euler_reflection_at_large_s(s):
+    left, right = euler_reflection_check(s)
+    assert left == pytest.approx(right, rel=1e-9)
+    with pytest.raises(ParameterRangeError, match="16384"):
+        euler_reflection_check(math.copysign(16384.5, s))
 
 
 def test_bernoulli_table_is_exact():

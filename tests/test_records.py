@@ -45,8 +45,7 @@ RECORDS = [
      {"order": -2, "periods": az.PeriodVector((F(1), F(2)))},
      "MultiGammaSpec(order=-2, periods=PeriodVector(periods=(Fraction(1, 1), "
      "Fraction(2, 1))))"),
-    (az.SchemeSpec, ("SL", 3, None), {"kind": "SL", "r": 3, "custom_counting": None},
-     "SchemeSpec(kind='SL', r=3, custom_counting=None)"),
+    (az.SchemeSpec, ("SL", 3), {"kind": "SL", "r": 3}, "SchemeSpec(kind='SL', r=3)"),
     (az.SeriesSettings, (1e-8, 1000), {"tol": 1e-8, "max_terms": 1000},
      "SeriesSettings(tol=1e-08, max_terms=1000)"),
     (az.QuadSettings, (1e-8,), {"tol": 1e-8}, "QuadSettings(tol=1e-08)"),
@@ -83,13 +82,12 @@ def test_different_classes_are_never_equal():
     assert az.SeriesSettings(1e-8, 200) != az.QuadSettings(1e-8)
     assert len({az.CountingFunction(TERMS), az.PowerProduct(TERMS),
                 az.CountingFunction(TERMS)}) == 2
-    assert az.HurwitzForm is az.CountingFunction
 
 
 def test_defaults():
     assert az.PowerProduct(TERMS).variable == "s"
     assert az.CheckReport("n", True, 1.0, 1.0, 0.0).detail == ""
-    assert az.SchemeSpec("Gm") == az.SchemeSpec("Gm", None, None) == az.gm()
+    assert az.SchemeSpec("Gm") == az.SchemeSpec("Gm", None) == az.gm()
     assert az.SeriesSettings() == az.SeriesSettings(1e-9, 300_000)
     assert az.QuadSettings() == az.QuadSettings(1e-10)
 
@@ -100,10 +98,6 @@ def test_construction_coerces():
     assert az.PeriodVector([1, "1/2"]).periods == (F(1), F(1, 2))
     spec = az.MultiGammaSpec(order=-2, periods=(1, 2))
     assert spec.periods == az.PeriodVector((F(1), F(2)))
-    custom = az.custom(N)
-    assert custom.custom_counting == N and custom.name == "Custom"
-    assert repr(custom) == ("SchemeSpec(kind='Custom', r=None, custom_counting="
-                            f"{N!r})")
     assert (az.sl(3).name, az.sl(3).dimension, az.sl(3).rank) == ("SL(3)", 8, 2)
 
 

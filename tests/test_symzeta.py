@@ -2,11 +2,13 @@
 
 Claims covered:
 - zeta_of maps exponent alpha with multiplicity m to a factor (s-alpha)^-m,
-  counting_of_product inverts it;
+  and negating the exponents gives the counting function back;
 - canonical printing is root-ascending with "s^e" for root zero;
 - products multiply/invert/shift consistently (numeric cross-check);
-- numerical evaluation agrees with direct complex arithmetic, raises at
-  poles/zeros, and warns on branch-cut evaluation;
+- numerical evaluation agrees with direct complex arithmetic and with the
+  rational sums at integer w, raises at poles/zeros, and warns on
+  branch-cut evaluation; the zeta's value is exp of the Hurwitz form's
+  w-derivative at 0;
 - reflection across a center produces the factor map of P(c-s), and the
   functional-equation verdict and mismatch triples match a brute-force
   factor comparison;
@@ -26,15 +28,11 @@ import abszeta.counting as cf
 from abszeta.errors import BranchCutWarning, DomainError, PoleError, PreconditionError
 from abszeta.symzeta import (
     FEParams,
-    HurwitzForm,
     PowerProduct,
     check_functional_equation,
-    counting_of_product,
     eval_hurwitz,
-    eval_hurwitz_exact,
     eval_power_product,
     hurwitz_str,
-    log_derivative_at_zero,
     normalize_power_product,
     reflected,
     zeta_of,
@@ -47,6 +45,10 @@ int_exps = st.integers(min_value=-4, max_value=4)
 products = st.lists(st.tuples(rationals, int_exps), max_size=4).map(normalize_power_product)
 
 
+def _inverse(p: PowerProduct) -> PowerProduct:
+    return PowerProduct(tuple((r, -e) for r, e in p.factors), p.variable)
+
+
 # ---------------------------------------------------------------------------
 # structure builders
 
@@ -57,15 +59,15 @@ def test_zeta_of_negates_multiplicities():
 
 
 def test_hurwitz_of_preserves_multiplicities():
-    assert HurwitzForm is cf.CountingFunction
     assert hurwitz_str(SL2) == "(s-3)^-w - (s-1)^-w"
     assert hurwitz_str(cf.U, "x") == "(x-1)^-w"
     assert hurwitz_str(cf.ZERO) == "0"
 
 
 def test_counting_of_product_inverts_zeta_of():
-    assert counting_of_product(zeta_of(SL2)) == SL2
-    assert counting_of_product(PowerProduct(())) == cf.ZERO
+    for n in (SL2, cf.ZERO, cf.U_MINUS_ONE ** 3):
+        z = zeta_of(n)
+        assert cf.CountingFunction(tuple((r, -e) for r, e in reversed(z.factors))) == n
 
 
 def test_spec_f1_prints_bare_variable():
@@ -88,12 +90,10 @@ def test_normalization_merges_and_drops():
 
 def test_product_operations():
     z = zeta_of(SL2)
-    assert z.times(z.inverse()).is_one()
-    assert z.pow_int(2).factor_map() == {F(3): F(-2), F(1): F(2)}
-    assert z.pow_int(0).is_one()
-    assert z.pow_int(-1) == z.inverse()
+    assert z.times(_inverse(z)).is_one()
+    assert z.times(z).factor_map() == {F(3): F(-2), F(1): F(2)}
     assert z.exponent_sum() == 0
-    assert z.roots() == (F(1), F(3))
+    assert [r for r, _ in z.factors] == [F(1), F(3)]
 
 
 def test_shift_moves_roots():
@@ -101,7 +101,7 @@ def test_shift_moves_roots():
     q = p.shifted(3)
     assert q.factor_map() == {F(3): F(-1), F(2): F(2)}
     assert p.shifted(0) == p
-    assert p.in_variable("t").variable == "t"
+    assert p.shifted(1, "t") == normalize_power_product([(1, -1), (0, 2)], "t")
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +143,23 @@ def test_eval_hurwitz_values():
 
 
 def test_eval_hurwitz_exact():
-    assert eval_hurwitz_exact(SL2, 2, F(5)) == F(1, 4) - F(1, 16)
-    assert eval_hurwitz_exact(SL2, -1, F(3)) == F(0) - F(2)
-    assert eval_hurwitz_exact(SL2, 0, F(3)) == F(1) - F(1)
+    """At integer w the form is a rational sum, which the evaluation meets."""
+    assert eval_hurwitz(SL2, 2, 5) == pytest.approx(float(F(1, 4) - F(1, 16)), rel=1e-14)
+    assert eval_hurwitz(SL2, -1, 4) == pytest.approx(float(F(1) - F(3)), rel=1e-14)
+    assert eval_hurwitz(SL2, 0, 4) == 0
     with pytest.raises(PoleError):
-        eval_hurwitz_exact(SL2, 2, F(3))
+        eval_hurwitz(SL2, 2, 3)
 
 
 def test_log_derivative_at_zero_matches_log_of_product():
+    """zeta(s) is exp of the w-derivative at w = 0 of the Hurwitz form,
+    -sum m(a) log(s - a), taken here by a central difference."""
     z = zeta_of(SL2)
-    s = 6.0
-    val = log_derivative_at_zero(SL2, s)
-    assert cmath.exp(val) == pytest.approx(eval_power_product(z, s), rel=1e-12)
+    s, h = 6.0, 1e-5
+    val = (eval_hurwitz(SL2, h, s) - eval_hurwitz(SL2, -h, s)) / (2 * h)
+    assert val == pytest.approx(-sum(float(m) * cmath.log(s - a) for a, m in SL2.terms),
+                                rel=1e-9)
+    assert cmath.exp(val) == pytest.approx(eval_power_product(z, s), rel=1e-9)
 
 
 @settings(max_examples=60)
@@ -187,7 +192,7 @@ def brute_force_fe(p: PowerProduct, center: F, sign: int) -> tuple[bool, list]:
     """The verdict and the (root, exponent, reflected exponent) mismatches,
     from the factor maps of P and of Q^sign, where P(center - s) = +-Q(s)."""
     refl, refl_sign = reflected(p, center)
-    target = (refl if sign == 1 else refl.inverse()).factor_map()
+    target = (refl if sign == 1 else _inverse(refl)).factor_map()
     original = p.factor_map()
     mismatches = [(root, original.get(root, F(0)), target.get(root, F(0)))
                   for root in sorted(original.keys() | target.keys())
@@ -234,7 +239,7 @@ def test_symmetrized_product_always_satisfies_fe(p, sign):
     """
     center = F(5)
     refl, _ = reflected(p, center)
-    sym = p.times(refl if sign == 1 else refl.inverse())
+    sym = p.times(refl if sign == 1 else _inverse(refl))
     rep = check_functional_equation(sym, FEParams(center, sign))
     assert rep.holds
     assert not rep.mismatches
