@@ -10,11 +10,10 @@ Supported kinds:
 
 Every named scheme other than SpecF1 has dimension d and a period vector
 w, and its absolute zeta equals the multi-period gamma function of the
-periods evaluated at s - d.  ``counting_of`` expands the product in one
-call of ``counting.tensor_product``, a power per distinct period.
-``zeta_of_scheme`` checks the zeta of that expansion against the gamma,
-built by the subset-sum recurrence of ``gammasine``, which shares no
-expansion code with it.
+periods evaluated at s - d.  The product is expanded on integers, a power
+per distinct period, and checked by ``zeta_of_scheme`` against the gamma's
+exponent map from the subset-sum recurrence of ``gammasine``, which shares
+no expansion code with it.  Fractions are built once, for the result.
 
 A scheme's total period |w| is the degree of its counting function; the
 rank budget :data:`MAX_TOTAL_PERIOD` caps it before anything is expanded.
@@ -30,9 +29,9 @@ from typing import Callable
 from . import counting as cf
 from .counting import CountingFunction
 from .errors import NoFunctionalEquationError, ParameterRangeError
-from .gammasine import MAX_PERIODS, MultiGammaSpec, PeriodVector, multiperiod_gamma
+from .gammasine import MAX_PERIODS, PeriodVector, subset_sum_exponents
 from .reports import Record
-from .symzeta import FEParams, PowerProduct, zeta_of
+from .symzeta import FEParams, PowerProduct
 
 #: Rank budget: the largest total period |w| of a scheme.  A catalog
 #: scheme's periods are positive integers, so it has at most |w| of them,
@@ -140,12 +139,17 @@ def gl(r: int) -> SchemeSpec:
     return SchemeSpec(GL, r)
 
 
+def _expansion(spec: SchemeSpec) -> list[tuple[int, int]]:
+    """The integer terms (E, C) of N(u), exponent-descending."""
+    row = SCHEMES[spec.kind]
+    return cf.integer_product([([(row.dimension(spec.r), 1)], 1)]
+                              + [([(0, 1), (-w, -1)], k)
+                                 for w, k in Counter(row.periods(spec.r)).items()])
+
+
 def counting_of(spec: SchemeSpec) -> CountingFunction:
     """Counting function of a scheme: u^d * prod over the periods of (1 - u^-w)."""
-    row = SCHEMES[spec.kind]
-    return cf.tensor_product([(cf.normalize([(row.dimension(spec.r), 1)]), 1)]
-                             + [(cf.normalize([(0, 1), (-w, -1)]), k)
-                                for w, k in Counter(row.periods(spec.r)).items()])
+    return cf.from_integer_terms(_expansion(spec))
 
 
 def zeta_of_scheme(spec: SchemeSpec) -> PowerProduct:
@@ -153,25 +157,23 @@ def zeta_of_scheme(spec: SchemeSpec) -> PowerProduct:
 
     For a scheme with periods w and dimension d the zeta of
     N(u) = u^d * prod (1 - u^-w_j) is the multi-period gamma of w at s - d.
-    The zeta comes from the expanded counting function, the gamma from the
-    subset-sum recurrence of :func:`multiperiod_gamma`, which shares no
-    expansion code with it; their factors must agree root for root once
-    the gamma's roots are moved up by d.  A mismatch would mean one route
-    is wrong, so it is an internal error rather than a recoverable condition.
+    The term u^E of multiplicity C of the expansion is the zeta's factor
+    (s - E)^-C, and the gamma's factor (x + t)^e is (s - d + t)^e: the two
+    integer maps must agree.  A mismatch would mean one route is wrong, so
+    it is an internal error rather than a recoverable condition.
     """
-    n = counting_of(spec)
-    product = zeta_of(n)
-    periods = spec.periods
-    if periods is not None:
-        d = spec.dimension
-        gamma = multiperiod_gamma(MultiGammaSpec(-len(periods), periods))
-        # a root less d keeps its denominator: compare integer pairs, build no Fraction
-        if ([(r.numerator - d * r.denominator, r.denominator, e) for r, e in product.factors]
-                != [(r.numerator, r.denominator, e) for r, e in gamma.factors]):
+    terms = _expansion(spec)
+    row = SCHEMES[spec.kind]
+    periods = row.periods(spec.r)
+    if periods:
+        d = row.dimension(spec.r)
+        gamma = {d - t: e for t, e in subset_sum_exponents(periods).items() if e}
+        if {e: -c for e, c in terms} != gamma:
             raise AssertionError(
-                f"internal cross-check failed for {spec.name}: counting route gives {n}, "
-                f"whose zeta is not the gamma of the periods {periods} at s - {d}")
-    return product
+                f"internal cross-check failed for {spec.name}: counting route gives "
+                f"{cf.from_integer_terms(terms)}, whose zeta is not the gamma of the "
+                f"periods {spec.periods} at s - {d}")
+    return PowerProduct(tuple([(Fraction(e), Fraction(-c)) for e, c in reversed(terms)]), "s")
 
 
 def fe_params_of(spec: SchemeSpec) -> FEParams:

@@ -76,6 +76,10 @@ class CountingFunction(Record):
     def __pow__(self, r: int) -> "CountingFunction":
         return tensor_power(self, r)
 
+    def __neg__(self) -> "CountingFunction":
+        """-N: every multiplicity negated, no expansion."""
+        return CountingFunction(tuple([(a, -m) for a, m in self.terms]))
+
     def __str__(self) -> str:
         """Render as an expression the package's parser accepts back."""
         return signed_sum(self.terms, _monomial)
@@ -132,11 +136,8 @@ def tensor_product(factors: Iterable[tuple[CountingFunction, int]]) -> CountingF
 
     Each factor is taken to integers: its exponents times L, the lcm of all
     exponent denominators, and its multiplicities times d_i, the lcm of
-    their own denominators.  Its exponents are then offsets from its least
-    one in steps of g, the gcd of all offsets.  If every factor spans at
-    most :data:`DENSE_SLOTS_PER_TERM` steps per term, the product of the
-    integer polynomials is packed, else convolved term pair by term pair.
-    It is divided by prod d_i^r_i once, when the terms are built.
+    their own denominators.  The :func:`integer_product` is divided by
+    prod d_i^r_i once, when the terms are built.
     """
     factors = [(n, _power(r)) for n, r in factors]
     if any(n.is_zero() for n, _ in factors):
@@ -147,14 +148,33 @@ def tensor_product(factors: Iterable[tuple[CountingFunction, int]]) -> CountingF
                   MAX_PACKED_BITS, "packed bits")
     powers = [([(a.numerator * (den // a.denominator), m.numerator * (d // m.denominator))
                 for a, m in n.terms], r) for (n, r), d in zip(factors, denominators)]
+    return from_integer_terms(integer_product(powers), den,
+                              math.prod([d ** r for (_, r), d in zip(factors, denominators)]))
+
+
+def integer_product(powers: list[tuple[list[tuple[int, int]], int]]) -> list[tuple[int, int]]:
+    """The product of powers r >= 1 of exponent-descending integer terms (E, C),
+    C != 0, as such terms.  It is packed if every factor spans at most
+    :data:`DENSE_SLOTS_PER_TERM` steps of g per term, g the gcd of the
+    exponents' offsets from each factor's least one; else it is convolved."""
     step = _lattice_step(powers)
     if all([_dense(terms, step) for terms, _ in powers]):
-        product = _packed_product(powers, step)
-    else:
-        product = _sparse_product(powers)
-    denominator = math.prod([d ** r for (_, r), d in zip(factors, denominators)])
-    return CountingFunction(tuple([(Fraction(e, den), Fraction(c, denominator))
-                                   for e, c in product]))
+        return _packed_product(powers, step)
+    return _sparse_product(powers)
+
+
+def from_integer_terms(product: list[tuple[int, int]], den: int = 1,
+                       denominator: int = 1) -> CountingFunction:
+    """The counting function of the terms (E / den, C / denominator), for
+    exponent-descending integer terms (E, C) with C != 0."""
+    return CountingFunction(tuple(zip(_fractions([e for e, _ in product], den),
+                                      _fractions([c for _, c in product], denominator))))
+
+
+def _fractions(values: list[int], den: int) -> list[Fraction]:
+    if den == 1:  # the int-only path of Fraction.__new__, a third cheaper than Fraction(v, 1)
+        return [Fraction(v) for v in values]
+    return [Fraction(v, den) for v in values]
 
 
 def _lattice_step(powers: list[tuple[list[tuple[int, int]], int]]) -> int:

@@ -162,19 +162,19 @@ def multiperiod_gamma(spec: MultiGammaSpec) -> PowerProduct:
     periods equal to 1 the subsets of equal size merge and this reduces
     to :func:`neg_gamma`.
     """
-    den, _, exponents = _subset_exponents(spec.periods)
-    return _product(exponents, den)
+    den, steps = _integer_steps(spec.periods)
+    return _product(subset_sum_exponents(steps), den)
 
 
-def _subset_exponents(periods: PeriodVector) -> tuple[int, int, dict[int, int]]:
-    """L, L * |w| and the map L * sum(S) -> exponent of the multi-period gamma."""
-    den, steps = _integer_steps(periods)
+def subset_sum_exponents(steps: Iterable[int]) -> dict[int, int]:
+    """The map t -> sum of (-1)^(|S| + 1) over the subsets S of the integer
+    steps with sum t, the exponent of (x + t) in their gamma; zeros may stay."""
     exponents: dict[int, int] = {0: -1}
     for w in steps:
         taken = [(t + w, -e) for t, e in exponents.items() if e]
         for t, e in taken:
             exponents[t] = exponents.get(t, 0) + e
-    return den, sum(steps), exponents
+    return exponents
 
 
 def multiperiod_sine(spec: MultiGammaSpec) -> PowerProduct:
@@ -184,8 +184,9 @@ def multiperiod_sine(spec: MultiGammaSpec) -> PowerProduct:
     onto themselves (the complement map S -> periods \\ S).  Trivial -- the
     constant 1 -- for every negative integer order.  Computed as in :func:`neg_sine`.
     """
-    den, total, exponents = _subset_exponents(spec.periods)
-    return _product(reflection_defect(exponents, total, (-1) ** len(spec.periods)), den)
+    den, steps = _integer_steps(spec.periods)
+    return _product(reflection_defect(subset_sum_exponents(steps), sum(steps),
+                                      (-1) ** len(steps)), den)
 
 
 def tensor_power_fe_check(r: int) -> CheckReport:

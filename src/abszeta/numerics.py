@@ -229,7 +229,7 @@ def _terminating_sum(k: int, x: float, w, cfg: SeriesSettings):
 
     They alternate, and sum_n |C(n + k - 1, n)| = 2^-k: a sum of log weights
     (w None) that may round to 2 eps 2^-k max_n |log(n + x)|, above the
-    tolerance, is refused before summing."""
+    tolerance, is refused before summing, and a term beyond the float range when met."""
     if -k + 1 > cfg.max_terms:
         raise ConvergenceError(
             f"order {k} has {-k + 1} terms, above the cap of {cfg.max_terms}; raise max_terms")
@@ -241,7 +241,11 @@ def _terminating_sum(k: int, x: float, w, cfg: SeriesSettings):
                 f"gamma series of order {k} at x={x}: rounding in its {1 - k} alternating "
                 f"terms may reach 10^{log10_bound:.1f}, above the tolerance {cfg.tol:.2e}; "
                 "use --method integral")
-    return next(_partial_sums(float(k), x, w, [1 - k]))
+    try:
+        return next(_partial_sums(float(k), x, w, [1 - k]))
+    except OverflowError:
+        raise ConvergenceError(
+            f"terminating sum of order {k} at x={x}: a term left the float range") from None
 
 
 def _finite_positive(x, what: str) -> float:

@@ -153,18 +153,14 @@ class _Parser:
         if tok is not None and tok.kind == "-":
             self._next()
             negate = True
-        total = self._term()
-        if negate:
-            total = cf.otimes(cf.normalize([(0, -1)]), total)
+        total = -self._term() if negate else self._term()
         while True:
             tok = self._peek()
             if tok is None or tok.kind not in "+-":
                 return total
             self._next()
             rhs = self._term()
-            if tok.kind == "-":
-                rhs = cf.otimes(cf.normalize([(0, -1)]), rhs)
-            total = cf.oplus(total, rhs)
+            total = cf.oplus(total, -rhs if tok.kind == "-" else rhs)
 
     def _term(self) -> CountingFunction:
         """A product of powers, parsed whole and then expanded in one call."""

@@ -7,7 +7,8 @@ maps (0, inf) onto the whole tau line, and turns an algebraic endpoint at
 exponentially in |tau|, so the trapezoidal rule in tau converges fast and
 needs no cutoff of the range.  The step halves from 1 to 1/128, each level
 adding only the odd nodes, until two successive levels agree within the
-budget.  ``scale`` is the decay length of the integrand, which its caller
+budget, from step 1/8 on: steps 1/2 and 1/4 can agree while both are off by
+more than it.  ``scale`` is the decay length of the integrand, which its caller
 knows; it puts the nodes where the mass is.
 
 An endpoint t^(beta - 1) with beta < 1 gives terms that fall off only like
@@ -121,7 +122,7 @@ def integrate(f: Callable[[float], float], scale: float, epsabs: float) -> float
             change = abs(estimate - previous)
             if not math.isfinite(estimate):
                 break
-            if level >= 2 and change <= epsabs:
+            if level >= 3 and change <= epsabs:
                 if epsabs < _ROUNDOFF * abs(estimate):
                     raise ConvergenceError(
                         f"quadrature: the budget {epsabs:.2e} is below the rounding error "

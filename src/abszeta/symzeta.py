@@ -129,17 +129,21 @@ def _finite_complex(value, what: str) -> complex:
 
 
 def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
-    """Evaluate the Hurwitz form of n, sum m(a) * (s - a)^(-w), on principal branches."""
+    """Evaluate the Hurwitz form of n, sum m(a) * (s - a)^(-w), on principal branches;
+    at s = a the term is 0 for Re w < 0, 1 at w = 0, else a PoleError."""
     w = _finite_complex(w, "order w")
     s = _finite_complex(s, "argument s")
     total = 0j
     try:
         for a, m in n.terms:
             d = s - complex(float(a))
-            if d == 0:
+            if d != 0:
+                total += float(m) * cmath.exp(-w * cmath.log(d))
+            elif w == 0:
+                total += float(m)
+            elif w.real >= 0:
                 raise PoleError(f"evaluation point {s} coincides with shift {qstr(a)}")
-            total += float(m) * cmath.exp(-w * cmath.log(d))
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: cmath.exp of an infinite exponent
         total = complex(math.inf)
     return _finite_complex(total, f"the Hurwitz form's value at w={w}, s={s}")
 

@@ -2,7 +2,9 @@
 
 Claims covered:
 - counting functions of the named schemes match independent expansions
-  (sympy polynomial oracle for SL/GL, binomial expansion for Gm^r);
+  (sympy polynomial oracle for SL/GL, binomial expansion for Gm^r), and
+  for every kind up to rank 14 the parsed closed form (hypothesis), with
+  every term and zeta factor a pair of exact Fractions;
 - zeta_of_scheme agrees with hand-computed factorizations for the small
   schemes, equals the shifted multi-period gamma for every kind up to rank
   12, and its cross-check against that gamma refuses wrong counting maps
@@ -23,12 +25,14 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import abszeta.catalog as cat
 import abszeta.counting as cf
 from abszeta.errors import NoFunctionalEquationError, ParameterRangeError
 from abszeta.gammasine import MultiGammaSpec, multiperiod_gamma
-from abszeta.symzeta import PowerProduct, check_functional_equation, zeta_of
+from abszeta.parser import parse_expr
+from abszeta.symzeta import check_functional_equation, zeta_of
 
 
 def sympy_counting(spec: cat.SchemeSpec):
@@ -149,6 +153,32 @@ def test_zeta_equals_shifted_multiperiod_gamma(spec):
     assert cat.zeta_of_scheme(spec) == gamma.shifted(spec.dimension, variable="s")
 
 
+@st.composite
+def catalog_specs(draw):
+    kind = draw(st.sampled_from(sorted(cat.SCHEMES)))
+    min_r = cat.SCHEMES[kind].min_r
+    return cat.SchemeSpec(kind) if min_r is None else cat.SchemeSpec(
+        kind, draw(st.integers(min_r, 14)))
+
+
+def _closed_form(spec):
+    row = cat.SCHEMES[spec.kind]
+    return "*".join([f"u^{row.dimension(spec.r)}"] + [f"(1-u^-{w})" for w in row.periods(spec.r)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalog_specs())
+def test_integer_route_matches_the_closed_form(spec):
+    """The integer expansion is the parsed product u^d*(1-u^-w1)*..., its zeta
+    is zeta_of of it, and every term and factor is a pair of exact Fractions
+    (an int would compare equal, so the types are checked)."""
+    n = cat.counting_of(spec)
+    assert n == parse_expr(_closed_form(spec))
+    z = cat.zeta_of_scheme(spec)
+    assert z == zeta_of(n)
+    assert all(type(x) is F for pair in n.terms + z.factors for x in pair)
+
+
 def _wrong_maps(n):
     terms = list(n.terms)
     mid = len(terms) // 2
@@ -163,26 +193,35 @@ def _wrong_maps(n):
 @pytest.mark.parametrize("spec", [cat.gm(), cat.gm_tensor(5), cat.sl(4), cat.gl(4)],
                          ids=lambda s: s.name)
 def test_cross_check_refuses_wrong_counting(spec, monkeypatch):
+    """The expansion the cross-check reads is integer (E, C) pairs; a wrong
+    map's fractional exponent or coefficient is fed to it as a Fraction."""
     right = cat.counting_of(spec)
     for wrong in _wrong_maps(right):
         assert wrong != right
-        monkeypatch.setattr(cat, "counting_of", lambda _spec, wrong=wrong: wrong)
-        with pytest.raises(AssertionError, match="cross-check failed"):
+        monkeypatch.setattr(cat, "_expansion", lambda _spec, terms=_integer_terms(wrong): terms)
+        with pytest.raises(AssertionError, match="cross-check failed") as refused:
             cat.zeta_of_scheme(spec)
-    monkeypatch.setattr(cat, "counting_of", lambda _spec: right)
+        assert f"counting route gives {wrong}," in str(refused.value)
+    monkeypatch.setattr(cat, "_expansion", lambda _spec: _integer_terms(right))
     assert cat.zeta_of_scheme(spec) == zeta_of(right)
+
+
+def _integer_terms(n):
+    return [tuple([x.numerator if x.denominator == 1 else x for x in pair]) for pair in n.terms]
 
 
 def test_cross_check_refuses_a_perturbed_gamma(monkeypatch):
     """zeta_of_scheme compares the zeta with the periods' gamma, so a gamma
-    with one exponent changed is refused too."""
-    gamma = cat.multiperiod_gamma
+    with one exponent changed is refused too: the exponent of its least
+    root -t, the largest subset sum t."""
+    exponents_of = cat.subset_sum_exponents
 
-    def perturbed(spec):
-        (root, e), *rest = gamma(spec).factors
-        return PowerProduct(((root, e + 1), *rest), "x")
+    def perturbed(steps):
+        exponents = exponents_of(steps)
+        exponents[max([t for t, e in exponents.items() if e])] += 1
+        return exponents
 
-    monkeypatch.setattr(cat, "multiperiod_gamma", perturbed)
+    monkeypatch.setattr(cat, "subset_sum_exponents", perturbed)
     for spec in (cat.gm(), cat.gm_tensor(5), cat.sl(4), cat.gl(4)):
         with pytest.raises(AssertionError, match="cross-check failed"):
             cat.zeta_of_scheme(spec)

@@ -204,6 +204,15 @@ def test_hurwitz_symbolic_and_value():
     assert float(out) == pytest.approx((5 - 3) ** -2.0 - (5 - 1) ** -2.0, rel=1e-12)
 
 
+def test_hurwitz_at_a_shift():
+    """At s = a the term (s - a)^(-w) is 0 for Re w < 0: u^3 - u at w = -1, s = 3
+    is 0 - (3 - 1)^1; for Re w >= 0, w != 0, s = a is a pole (exit 3)."""
+    assert run_cli("hurwitz", "--expr", "u^3-u", "--w=-1", "--s", "3") == (0, "-2.0\n", "")
+    code, out, err = run_cli("hurwitz", "--expr", "u^3-u", "--w=0,1", "--s", "3")
+    assert (code, out) == (3, "")
+    assert "coincides with shift 3" in err
+
+
 def test_hurwitz_complex_value():
     doc = run_json("hurwitz", "--expr", "u", "--w", "1", "--s", "3,4")
     # (s-1)^-1 at s = 2+4j: 1/(2+4j) = (2-4j)/20

@@ -91,6 +91,7 @@ FOUND = (
     ["gamma", "--order=-3/2", "--x=5e-324"],                                      # OverflowError
     ["check", "reflection", "--s=1234.5"],                                        # RecursionError
     ["check", "reflection", "--s=65537.5"],                                       # RecursionError
+    ["hurwitz", "--expr=u-1", "--w=1.7e308", "--s=0"],                             # ValueError
 )
 
 
@@ -105,6 +106,7 @@ FOUND = (
 @example(FOUND[3])
 @example(FOUND[4])
 @example(FOUND[5])
+@example(FOUND[6])
 def test_cli_fuzz_in_process(argv):
     start = time.perf_counter()
     code, _, err = run_cli(*argv)
@@ -119,6 +121,7 @@ def test_cli_fuzz_in_process(argv):
     (FOUND[4], 0, "reflection product at s=1234.5 against -1/(2 sin(pi s)): PASS "
                   "(value=-0.5000000000035518, expected=-0.5, tol=1e-08)\n"),
     (FOUND[5], 3, ""),        # |s| above 2^14
+    (FOUND[6], 3, ""),        # (-1)^(-1.7e308) has an infinite phase
 ])
 def test_found_argv_end_in_their_exit_code(argv, code, out):
     got, printed, err = run_cli(*argv)

@@ -19,7 +19,8 @@ Claims covered:
   loop over the coefficient recurrence, every early-stopped value is
   within tolerance of mpmath (run live) or the call raises
   ConvergenceError, the last checkpoint still accepts one estimate, and
-  the term budget and float overflow end in package errors;
+  the term budget and float overflow end in package errors, on the
+  terminating path too;
 - the series routes and the gamma integral refuse a non-finite x, and
   the zeta series refuses an |Im w| whose phases fall below the
   tolerance;
@@ -32,7 +33,7 @@ Claims covered:
   log-zeta integrands over orders -0.01..-30 and decay rates 1e-3..1e6;
   ConvergenceError on a non-finite or non-decaying integrand, on an
   oscillation the finest step does not resolve, and on a budget below
-  rounding;
+  rounding; no level before step 1/8 is accepted;
 - classical Hurwitz zeta: FROZEN values, exact Bernoulli-polynomial
   values at non-positive integer w, recurrence property;
 - the kernel and the classical Hurwitz zeta map a value beyond the float
@@ -54,6 +55,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abszeta.counting as cf
+from abszeta.catalog import counting_of, gl
 import abszeta.numerics as numerics
 from abszeta.errors import (ConvergenceError, DomainError, ParameterRangeError,
                             PoleError, PreconditionError)
@@ -188,6 +190,12 @@ def test_terminating_series_respects_term_cap():
         zeta_series(-10, 2.0, 1.0, cfg)
     with pytest.raises(ConvergenceError):
         gamma_series(-10, 1.0, cfg)
+
+
+@pytest.mark.parametrize("r,w,x", [(0, 1.0, 1e-320), (-1.0, 2.5, 1e-300), (0, -1e300, 180.0)])
+def test_terminating_series_overflow_is_a_convergence_error(r, w, x):
+    with pytest.raises(ConvergenceError, match="float range"):
+        zeta_series(r, w, x)
 
 
 @settings(max_examples=60)
@@ -562,6 +570,24 @@ def test_log_zeta_integral_matches_factored_log(terms, s):
 def test_log_zeta_integral_keeps_the_mass_near_zero(s):
     expected = math.log1p(1.0 / (s - 1.0))  # log(s / (s - 1))
     assert abs(log_zeta_integral(cf.U_MINUS_ONE, s) - expected) <= 1e-10
+
+
+def test_no_level_is_accepted_before_step_one_eighth():
+    """Steps 1/2 and 1/4 of these two integrals agree within the budget 1e-6
+    while both are off by more than it; from step 1/8 on they are within it
+    of mpmath."""
+    n = counting_of(gl(3))
+    s = 11.737112
+    got = log_zeta_integral(n, s, QuadSettings(1e-6))
+    with mpmath.workdps(40):
+        expected = -mpmath.fsum([mpmath.mpf(m.numerator) / m.denominator
+                                 * mpmath.log(s - mpmath.mpf(a.numerator) / a.denominator)
+                                 for a, m in n.terms])
+    assert abs(got - float(expected)) <= 1e-6
+    got = gamma_integral(-1.282845, 2.380621, QuadSettings(1e-6))
+    with mpmath.workdps(30):
+        expected = _mellin_log_gamma(-1.282845, 2.380621)
+    assert abs(math.log(got) - float(expected)) <= 1e-6
 
 
 def test_log_zeta_integral_validation():

@@ -4,7 +4,8 @@ Claims covered:
 - accepted forms evaluate to the right counting function (oracle: Python's
   own eval on the caret-to-double-star rewrite, compared numerically);
 - every canonically printed counting function parses back to itself
-  (hypothesis round-trip);
+  (hypothesis round-trip), and a minus sign negates its term exactly, as
+  the tensor product with -1 does (hypothesis);
 - rejected inputs fail with ParseError carrying an in-range offset, and
   a randomized byte-string fuzz never produces any other exception;
 - scheme names map to catalog entries, unknown names and bad ranks fail
@@ -85,6 +86,46 @@ def test_parse_agrees_with_python_eval_oracle(text, u):
 @given(counting_fns)
 def test_canonical_round_trip(n):
     assert parse_expr(str(n)) == n
+
+
+MINUS_ONE = cf.normalize([(0, -1)])
+exponents = st.one_of(st.integers(-6, 6).map(F),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=6))
+coefficients = st.fractions(min_value=F(1, 10), max_value=10, max_denominator=10)
+
+
+@st.composite
+def signed_sums(draw):
+    """The text of a sum of terms c*u^(e), some times a power of
+    (['-']u^(e2) - c2), each with a drawn sign; and the same sum with each
+    minus taken as the tensor product with the constant -1."""
+    text, total = "", cf.ZERO
+    for i in range(draw(st.integers(1, 4))):
+        c, e = draw(coefficients), draw(exponents)
+        body, term = f"{c}*u^({e})", cf.normalize([(e, c)])
+        if draw(st.booleans()):
+            e2, c2, k = draw(exponents), draw(coefficients), draw(st.integers(1, 4))
+            lead = draw(st.booleans())
+            body += f"*({'-' if lead else ''}u^({e2}) - {c2})^{k}"
+            head = cf.normalize([(e2, 1)])
+            inner = cf.oplus(cf.otimes(MINUS_ONE, head) if lead else head,
+                             cf.otimes(MINUS_ONE, cf.normalize([(0, c2)])))
+            term = cf.otimes(term, cf.tensor_power(inner, k))
+        minus = draw(st.booleans())
+        text += ("-" if minus else "+" if i else "") + body
+        total = cf.oplus(total, cf.otimes(MINUS_ONE, term) if minus else term)
+    return text, total
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_sums())
+def test_minus_negates_exactly(case):
+    """A minus sign flips the multiplicities of its term: the parse equals the
+    sum built with products by -1, and its data stay exact Fractions."""
+    text, expected = case
+    n = parse_expr(text)
+    assert n == expected
+    assert all(type(x) is F for term in n.terms for x in term)
 
 
 # ---------------------------------------------------------------------------

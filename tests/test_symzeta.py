@@ -6,7 +6,8 @@ Claims covered:
 - canonical printing is root-ascending with "s^e" for root zero;
 - products multiply/invert/shift consistently (numeric cross-check);
 - numerical evaluation agrees with direct complex arithmetic and with the
-  rational sums at integer w, raises at poles/zeros, and warns on
+  rational sums at integer w, raises at poles/zeros (a Hurwitz term at
+  its shift is 0 for Re w < 0 and 1 at w = 0), and warns on
   branch-cut evaluation; the zeta's value is exp of the Hurwitz form's
   w-derivative at 0;
 - reflection across a center produces the factor map of P(c-s), and the
@@ -149,6 +150,20 @@ def test_eval_hurwitz_exact():
     assert eval_hurwitz(SL2, 0, 4) == 0
     with pytest.raises(PoleError):
         eval_hurwitz(SL2, 2, 3)
+
+
+def test_eval_hurwitz_at_a_shift():
+    """At s = a the term (s - a)^(-w) is 1 at w = 0 and 0 for Re w < 0; a
+    pole for any other w, Re w >= 0 and w != 0."""
+    assert eval_hurwitz(SL2, 0, 3) == 0   # 1 - 1
+    assert eval_hurwitz(SL2, 0, 1) == 0
+    n = cf.normalize([(3, 2), (1, -1)])  # 2u^3 - u
+    assert eval_hurwitz(n, 0, 3) == 1    # 2 - 1
+    assert eval_hurwitz(n, -1, 3) == -2  # 2 * 0 - (3 - 1)
+    assert eval_hurwitz(n, -0.5 + 4j, 3) == pytest.approx(-(2 ** (0.5 - 4j)), rel=1e-13)
+    for w in (2, 1j, 1e-300):
+        with pytest.raises(PoleError, match="coincides with shift 3"):
+            eval_hurwitz(n, w, 3)
 
 
 def test_log_derivative_at_zero_matches_log_of_product():
