@@ -53,12 +53,11 @@ class _UsageError(Exception):
 
 def _parse_complex(text: str) -> complex:
     """Accept 're' or 're,im' with float components."""
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    try:
+        return complex(*map(float, text.split(",")))
+    except (TypeError, ValueError):  # TypeError: more than two parts
+        raise argparse.ArgumentTypeError(
+            f"expected a number 're' or 're,im' with float parts, got {text!r}") from None
 
 
 def _parse_rational_or_float(text: str):

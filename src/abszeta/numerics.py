@@ -48,16 +48,12 @@ from .quadrature import QuadSettings, integrate
 from .rationals import as_rational
 from .reports import Record
 
-#: Even-index Bernoulli numbers B_2 .. B_12 (exact), used by the
-#: Euler-Maclaurin expansions and their truncation bounds.
-BERNOULLI_EVEN: dict[int, Fraction] = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-}
+#: Euler-Maclaurin coefficients B_2k / (2k)! for k = 1 .. 6, each the exact
+#: rational (B_2 .. B_12 = 1/6, -1/30, 1/42, -1/30, 5/66, -691/2730) rounded once.
+EULER_MACLAURIN_COEFFICIENTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                                -691 / 1307674368000)
+#: Largest error, relative to max(1, |value|), of classical_hurwitz and log_gamma_one.
+CLASSICAL_TOL = 1e-11
 
 
 #: Largest term cap a series accepts.  The slowest loop, a complex power,
@@ -465,94 +461,93 @@ def binomial_identity_sum(cfg: SeriesSettings = DEFAULT_SERIES) -> float:
     return total + 1.0 / math.sqrt(math.pi * n_terms)
 
 
-def _bernoulli_poly(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x), n <= 12, from the tabulated numbers
-    (B_0 = 1, B_1 = -1/2, and the odd ones above B_1 vanish)."""
-    numbers = {0: Fraction(1), 1: Fraction(-1, 2), **BERNOULLI_EVEN}
-    return sum(math.comb(n, j) * float(numbers.get(j, 0)) * x ** (n - j)
-               for j in range(n + 1))
+def _euler_maclaurin(w: float, y: float) -> tuple[float, float, float]:
+    """sum_{n >= 0} (n + y)^(-w) for y > 0, continued in w, and its w-derivative, from
+    y^(1-w)/(w-1) + y^(-w)/2 + sum_k B_2k/(2k)! (w)_(2k-1) y^(1-w-2k), k = 1..5 (DLMF
+    25.11.5, https://dlmf.nist.gov/25.11).  Returns (value, omitted, slope), omitted the
+    signed B_12 term: for w > -11 it bounds what the value leaves out, and for integer w
+    in -11..0 value + omitted is exact.  At w = 0 the slope's B_12 term is |B_12|/132 y^-11."""
+    power = y ** -w
+    lead = y * power / (w - 1.0)
+    value, slope = lead + 0.5 * power, -lead / (w - 1.0)  # log y enters the slope last
+    p, dp, scale = w, 1.0, power / y  # the rising factorial (w)_(2k-1), its slope, y^(1-w-2k)
+    *kept, last = EULER_MACLAURIN_COEFFICIENTS
+    for k, c in enumerate(kept, 1):
+        value, slope = value + c * p * scale, slope + c * dp * scale
+        q = (w + 2 * k - 1) * (w + 2 * k)  # (w)_(2k+1) = (w)_(2k-1) q
+        p, dp, scale = p * q, dp * q + p * (2 * w + 4 * k - 1), scale / (y * y)
+    return value, last * p * scale, slope - math.log(y) * value
 
 
-def _pochhammer(w: float, j: int) -> float:
-    out = 1.0
-    for i in range(j):
-        out *= w + i
-    return out
+def _checked(value: float, error: float, what: str) -> float:
+    """value, unless it is not finite or its error exceeds CLASSICAL_TOL max(1, |value|)."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what}: a term leaves the float range")
+    if error > CLASSICAL_TOL * max(1.0, abs(value)):
+        raise ConvergenceError(f"{what}: the Euler-Maclaurin error may reach {error:.2e}, "
+                               f"above {CLASSICAL_TOL:.0e} max(1, |value|)")
+    return value
 
 
 def classical_hurwitz(w: float, x: float) -> float:
-    """Classical Hurwitz zeta sum_{n >= 0} (n + x)^(-w), continued in w.
-
-    Euler-Maclaurin with exact Bernoulli coefficients B_2..B_10 and the
-    B_12 term as the truncation bound; integer w <= 0 instead uses the
-    exact polynomial value -B_{1-w}(x) / (1 - w).  Defined for x > 0, and
-    for -1 < x < 0 with integer w through one step of the shift
-    recurrence zeta(w, x) = x^(-w) + zeta(w, x + 1).  A term beyond the
-    float range raises DomainError.
-    """
+    """Classical Hurwitz zeta sum_{n >= 0} (n + x)^(-w), continued in w: N head terms plus
+    the Euler-Maclaurin tail at y = N + x, N doubling from 8 until the tail's bound falls
+    below the rounding estimate eps (sum |head term| + 2 |tail|), one rounding a head term
+    and two for the tail's few steps.  Head and tail cancel for w < 0, so both see one x:
+    the terms past n = 0 are taken at n + y - N, exact as y is, anew for each N.  Integer
+    w in -11..0 takes the expansion at x itself, which terminates there: -B_(1-w)(x) /
+    (1 - w).  For -1 < x < 0 and integer w, it is x^(-w) + zeta(w, x + 1)."""
+    w, x = float(w), float(x)
+    what = f"classical zeta at w={w}, x={x}"
+    if w == 1.0:
+        raise PoleError("the classical zeta has its pole at w = 1")
+    if x <= 0.0 and not (-1.0 < x < 0.0 and w.is_integer()):
+        raise DomainError(f"{what}: x must be positive, or in (-1, 0) for integer w")
     try:
-        w = float(w)
-        x = float(x)
-        if w == 1.0:
-            raise PoleError("the classical zeta has its pole at w = 1")
-        if x <= 0.0:
-            if x == math.floor(x):
-                raise DomainError(f"undefined at non-positive integer x = {x}")
-            if not -1.0 < x < 0.0:
-                raise DomainError(f"x must be positive (or in (-1, 0) for integer w), got {x}")
-            if not w.is_integer():
-                raise DomainError(
-                    f"negative x needs integer w for a real power x^(-w), got w={w}")
+        if x < 0.0:
             return x ** (-w) + classical_hurwitz(w, x + 1.0)
-        if w.is_integer() and w <= 0.0 and 1 - int(w) <= 12:
-            n = 1 - int(w)
-            return -_bernoulli_poly(n, x) / n
-        n_sum = 8
+        if w.is_integer() and -11.0 <= w <= 0.0:
+            if x < 1e-3:  # one shift step, so that x^(-w) cannot underflow in the kernel
+                return x ** -w + classical_hurwitz(w, x + 1.0)
+            return _checked(sum(_euler_maclaurin(w, x)[:2]), 0.0, what)
+        stop = 8
         while True:
-            y = n_sum + x
-            omitted = abs(float(BERNOULLI_EVEN[12]) / math.factorial(12)
-                          * _pochhammer(w, 11)) * y ** (-w - 11.0)
-            if omitted < 1e-12:
-                break
-            if n_sum > 10_000_000:
-                raise ConvergenceError(
-                    f"Euler-Maclaurin truncation bound stuck at {omitted:.2e} for w={w}, x={x}")
-            n_sum *= 2
-        y = n_sum + x
-        total = sum((i + x) ** (-w) for i in range(n_sum))
-        total += y ** (1.0 - w) / (w - 1.0) + 0.5 * y ** (-w)
-        for k in range(1, 6):
-            total += (float(BERNOULLI_EVEN[2 * k]) / math.factorial(2 * k)
-                      * _pochhammer(w, 2 * k - 1) * y ** (-w - 2 * k + 1.0))
-        return total
+            y = stop + x
+            shifted = y - stop
+            head = x ** -w
+            for n in range(1, stop):
+                head += (n + shifted) ** -w
+            tail, bound, _ = _euler_maclaurin(w, y)
+            rounding = sys.float_info.epsilon * (head + 2.0 * abs(tail))  # head terms are > 0
+            if not abs(bound) > rounding or stop >= MAX_SERIES_TERMS:
+                return _checked(head + tail, abs(bound) + rounding, what)
+            stop *= 2
     except OverflowError:
-        raise DomainError(f"classical zeta at w={w}, x={x}: a term leaves the float range") from None
+        raise DomainError(f"{what}: a term leaves the float range") from None
 
 
 def log_gamma_one(x: float) -> float:
-    """log Gamma(x) - (1/2) log(2 pi) for x > 0.
-
-    This is the w-derivative at w = 0 of the classical Hurwitz zeta,
-    computed by the differentiated Euler-Maclaurin expansion; it is the
-    order +1 analogue of the negative-order gamma logs, used by the
-    reflection cross-check.
-    """
+    """log Gamma(x) - (1/2) log(2 pi) for x > 0, the w-derivative at w = 0 of the classical
+    Hurwitz zeta and the order +1 analogue of the negative-order gamma logs: N head terms
+    -log(n + x) plus the Euler-Maclaurin slope at y = N + x, N doubling from 8 until the
+    slope's bound falls below the head's rounding, eps sum |log(n + x)|."""
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"log_gamma_one needs x > 0, got {x}")
-    n_sum = 8
+    eps, log_x = sys.float_info.epsilon, math.log(x)
+    start, stop, head = 1, 8, -log_x
     while True:
-        y = n_sum + x
-        omitted = abs(float(BERNOULLI_EVEN[12])) / (12 * 11) * y ** (-11.0)
-        if omitted < 1e-15:
+        for n in range(start, stop):
+            head -= math.log(n + x)
+        size = abs(log_x) - log_x - head  # sum |log|: only log(x) may be negative
+        y = stop + x
+        bound = -EULER_MACLAURIN_COEFFICIENTS[-1] * math.factorial(10) * y ** -11.0  # B_12 slope
+        if not bound > eps * size:  # true by N = 16, where eps size > 6e-15 > bound
             break
-        n_sum *= 2
-    y = n_sum + x
-    total = -sum(math.log(i + x) for i in range(n_sum))
-    total += y * math.log(y) - y - 0.5 * math.log(y)
-    for k in range(1, 6):
-        total += float(BERNOULLI_EVEN[2 * k]) / ((2 * k) * (2 * k - 1)) * y ** (1.0 - 2 * k)
-    return total
+        start, stop = stop, 2 * stop
+    tail = _euler_maclaurin(0.0, y)[2]
+    return _checked(head + tail, bound + eps * (size + 2.0 * abs(tail)),
+                    f"log_gamma_one at x={x}")
 
 
 def _log_gamma_one_analytic(x: float) -> complex:
@@ -599,5 +594,6 @@ def euler_reflection_check(s: float) -> tuple[float, float]:
     if abs(left_c.imag) > 1e-8 * (1.0 + abs(left_c)):
         raise ConvergenceError(
             f"reflection product unexpectedly non-real at s={s}: {left_c}")
-    right = -1.0 / (2.0 * math.sin(math.pi * s))
+    k = round(s)  # sin(pi s) = (-1)^k sin(pi (s - k)), and s - k is exact
+    right = (0.5 if k % 2 else -0.5) / math.sin(math.pi * (s - k))
     return left_c.real, right

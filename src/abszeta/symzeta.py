@@ -130,7 +130,8 @@ def _finite_complex(value, what: str) -> complex:
 
 def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
     """Evaluate the Hurwitz form of n, sum m(a) * (s - a)^(-w), on principal branches;
-    at s = a the term is 0 for Re w < 0, 1 at w = 0, else a PoleError."""
+    at s = a the term is 0 for Re w < 0, 1 at w = 0, else a PoleError.  ConvergenceError
+    when a finite phase w log(s - a) rounds by more than MAX_PRODUCT_ROUNDING."""
     w = _finite_complex(w, "order w")
     s = _finite_complex(s, "argument s")
     total = 0j
@@ -138,7 +139,10 @@ def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
         for a, m in n.terms:
             d = s - complex(float(a))
             if d != 0:
-                total += float(m) * cmath.exp(-w * cmath.log(d))
+                z = -w * cmath.log(d)
+                if MAX_PRODUCT_ROUNDING < sys.float_info.epsilon * abs(z.imag) < math.inf:
+                    raise ConvergenceError(f"the phase at shift {qstr(a)} is lost in rounding")
+                total += float(m) * cmath.exp(z)
             elif w == 0:
                 total += float(m)
             elif w.real >= 0:

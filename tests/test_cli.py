@@ -220,6 +220,23 @@ def test_hurwitz_complex_value():
     assert doc["im"] == pytest.approx(-0.2)
 
 
+def test_hurwitz_bad_complex_argument_names_the_forms():
+    for bad in ("1j", "1,2,3", ""):
+        code, out, err = run_cli("hurwitz", "--expr", "u", f"--w={bad}", "--s", "3")
+        assert (code, out) == (1, "")
+        assert f"argument --w: expected a number 're' or 're,im' with float parts, got {bad!r}" in err
+        assert "_parse_complex" not in err
+
+
+def test_hurwitz_refuses_a_phase_lost_in_rounding():
+    """(-1)^(-1e17) is 1, but the phase pi 1e17 keeps no digit: exit 4, not noise.
+    A real w at a positive base has phase 0 and keeps its value."""
+    code, out, err = run_cli("hurwitz", "--expr", "u^2", "--w", "1e17", "--s", "1")
+    assert (code, out) == (4, "")
+    assert "lost in rounding" in err
+    assert run_cli("hurwitz", "--expr", "u-1", "--w", "1e300", "--s", "3") == (0, "0.0\n", "")
+
+
 def test_gamma_product_form_and_value():
     code, out, _ = run_cli("gamma", "--order", "-2")
     assert (code, out) == (0, "(x+2)^-1 * (x+1)^2 * x^-1\n")
@@ -377,6 +394,10 @@ GOLDEN = [
      "abszeta: error: GL(r) needs an integer r >= 1, got 0\n"),
     (("zeta", "--scheme", "Gm^0"), 3, "",
      "abszeta: error: Gm^r needs an integer r >= 1, got 0\n"),
+    # the sine side is (-1)^k sin(pi (s - k)), k = round(s); mpmath: -15915.4947138667416
+    (("check", "reflection", "--s=10390.00001"), 0,
+     "reflection product at s=10390.00001 against -1/(2 sin(pi s)): PASS "
+     "(value=-15915.494712967535, expected=-15915.494713866743, tol=1e-08)\n", ""),
 ]
 
 

@@ -28,7 +28,7 @@ from conftest import run_cli
 LITERALS = (
     "1e300", "9" * 60, "1e-300", "5e-324", "-3", "-0.5", "-1/2", "1/2", "2.5",
     "-7/3", "1e400", "-1e400", "nan", "inf", "-inf", "−1", "−1/2", "",
-    "-60", "-100", "-200", "1234.5", "-1234.5",
+    "-60", "-100", "-200", "1234.5", "-1234.5", "1.7e308", "-1.7e308",
 )
 #: Values a flag also draws, so that well-formed calls reach the deeper layers.
 VALID = {
@@ -92,6 +92,7 @@ FOUND = (
     ["check", "reflection", "--s=1234.5"],                                        # RecursionError
     ["check", "reflection", "--s=65537.5"],                                       # RecursionError
     ["hurwitz", "--expr=u-1", "--w=1.7e308", "--s=0"],                             # ValueError
+    ["hurwitz", "--expr=u^2", "--w=1e17", "--s=1"],                              # phase noise
 )
 
 
@@ -107,6 +108,7 @@ FOUND = (
 @example(FOUND[4])
 @example(FOUND[5])
 @example(FOUND[6])
+@example(FOUND[7])
 def test_cli_fuzz_in_process(argv):
     start = time.perf_counter()
     code, _, err = run_cli(*argv)
@@ -122,6 +124,7 @@ def test_cli_fuzz_in_process(argv):
                   "(value=-0.5000000000035518, expected=-0.5, tol=1e-08)\n"),
     (FOUND[5], 3, ""),        # |s| above 2^14
     (FOUND[6], 3, ""),        # (-1)^(-1.7e308) has an infinite phase
+    (FOUND[7], 4, ""),        # the phase pi 1e17 keeps no digit; (-1)^(-1e17) = 1
 ])
 def test_found_argv_end_in_their_exit_code(argv, code, out):
     got, printed, err = run_cli(*argv)

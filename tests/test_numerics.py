@@ -35,12 +35,17 @@ Claims covered:
   oscillation the finest step does not resolve, and on a budget below
   rounding; no level before step 1/8 is accepted;
 - classical Hurwitz zeta: FROZEN values, exact Bernoulli-polynomial
-  values at non-positive integer w, recurrence property;
+  values at integer w in -11..0, recurrence property; on w in
+  [-20.5, 100.5] x x in [1e-3, 1e3] each value is within 1e-11 max(1, |zeta|)
+  of a 90-digit direct sum or the call raises ConvergenceError, the rows
+  where rounding swamps the value raise, and no point of the bench's
+  numeric range does;
 - the kernel and the classical Hurwitz zeta map a value beyond the float
   range to DomainError;
 - normalized log-gamma and the reflection identity vs libm, the
   identity's continuation summed as its recursion was, up to |s| = 2^14;
-- the tabulated even-index Bernoulli numbers are the exact rationals.
+- the Euler-Maclaurin coefficients are B_2k / (2k)!, from the Bernoulli
+  recurrence, each rounded once.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from itertools import accumulate, islice
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import abszeta.counting as cf
 from abszeta.catalog import counting_of, gl
@@ -61,7 +66,7 @@ from abszeta.errors import (ConvergenceError, DomainError, ParameterRangeError,
                             PoleError, PreconditionError)
 from abszeta.gammasine import neg_gamma
 from abszeta.numerics import (
-    BERNOULLI_EVEN,
+    EULER_MACLAURIN_COEFFICIENTS,
     MAX_SERIES_TERMS,
     SeriesSettings,
     _checkpoints,
@@ -810,6 +815,90 @@ def test_classical_hurwitz_agrees_with_series_route():
         assert a == pytest.approx(b, rel=1e-9)
 
 
+def _hurwitz_reference(w: float, x: float):
+    """zeta(w, x) at 90 digits: the direct sum of 200 terms plus the Euler-Maclaurin
+    tail through B_30, whose next term is below 1e-30 of the value for |w| <= 101,
+    and which keeps 40 digits through the cancellation of head and tail at w = -20.5.
+    mpmath's zeta is no reference here: at w = 30.5, x = 1000 its 40- and 80-digit
+    values differ in the eleventh digit, and at w = -9.2e-120 it divides by zero."""
+    with mpmath.workdps(90):
+        w, x = mpmath.mpf(w), mpmath.mpf(x)
+        y = 200 + x
+        tail = y ** (1 - w) / (w - 1) + y ** -w / 2 + mpmath.fsum(
+            mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.rf(w, 2 * k - 1)
+            * y ** (1 - w - 2 * k) for k in range(1, 16))
+        return mpmath.fsum((n + x) ** -w for n in range(200)) + tail
+
+
+def test_hurwitz_reference():
+    """Against a 40-digit sum of 20000 terms plus a far tail at (30.5, 1000), and
+    against mpmath's zeta at 40 digits where that one is sound."""
+    assert float(_hurwitz_reference(30.5, 1000.0)) == pytest.approx(1.0878502903573e-90,
+                                                                     rel=1e-12)
+    assert classical_hurwitz(30.5, 1000.0) == pytest.approx(1.0878502903573e-90, rel=1e-12)
+    for w, x in ((-20.5, 1e-3), (-9.5, 1.0), (0.5, 2.0), (3.5, 0.7), (100.5, 1e-3)):
+        with mpmath.workdps(40):
+            assert abs(_hurwitz_reference(w, x) / mpmath.zeta(w, x) - 1) < 1e-20
+
+
+#: (w, x) of a table of silent errors in an earlier Euler-Maclaurin loop, which
+#: stopped at a fixed absolute truncation bound and returned, for instance,
+#: -7.97e44 at (-9.5, 1), 94.88 at (-7.5, 0.2) and 0.0027416 at (-6.5, 1).
+ROUNDING_TABLE = [(w, x) for w in (-3.5, -4.5, -6.5, -7.5, -9.5) for x in (0.2, 1.0, 4.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(min_value=-20.5, max_value=100.5), st.floats(min_value=1e-3, max_value=1e3))
+@example(30.5, 1000.0)
+@example(-20.5, 1e-3)
+@example(100.5, 1e3)
+def test_classical_hurwitz_within_tolerance_or_refuses(w, x):
+    assume(w != 1.0)
+    exact = _hurwitz_reference(w, x)
+    try:
+        value = classical_hurwitz(w, x)
+    except ConvergenceError:
+        return
+    assert abs(value - exact) <= 1e-11 * max(1, abs(exact)), (value, exact)
+
+
+for _point in ROUNDING_TABLE:
+    test_classical_hurwitz_within_tolerance_or_refuses = example(*_point)(
+        test_classical_hurwitz_within_tolerance_or_refuses)
+
+
+@pytest.mark.parametrize("w,x", [(-9.5, 1.0), (-7.5, 0.2), (-6.5, 1.0)])
+def test_classical_hurwitz_refuses_where_rounding_swamps_the_value(w, x):
+    """zeta = -0.0066722, 0.0041051 and 0.0027468, but the rounding of the head,
+    which cancels against the tail, may reach 3.8e-4, 1.1e-6 and 9.9e-10."""
+    with pytest.raises(ConvergenceError, match="Euler-Maclaurin error"):
+        classical_hurwitz(w, x)
+
+
+@pytest.mark.parametrize("w,x", [(-3.5, 0.2), (-3.5, 1.0), (-3.5, 4.0), (-4.5, 4.0), (-6.5, 4.0)])
+def test_classical_hurwitz_answers_where_its_bound_allows(w, x):
+    exact = _hurwitz_reference(w, x)
+    assert abs(classical_hurwitz(w, x) - exact) <= 5e-12 * max(1, abs(exact))
+
+
+def test_classical_hurwitz_never_refuses_on_the_bench_range():
+    """The bench draws w in [-4, 6], at least 0.1 from an integer, and x in [0.2, 4]."""
+    for k in range(-4, 6):
+        for i in range(41):
+            for j in range(77):
+                classical_hurwitz(k + 0.1 + 0.02 * i, 0.2 + 0.05 * j)
+
+
+@pytest.mark.parametrize("w", range(-11, 1))
+def test_classical_hurwitz_integer_orders_are_bernoulli_polynomials(w):
+    """zeta(w, x) = -B_(1-w)(x) / (1 - w), from the expansion at x + 1; a tiny x, whose
+    power x^(-w) underflows, still gives B_(1-w)(0+)."""
+    for x in (5e-324, 1e-120, 1e-30, 1e-29, 0.3, 1.0, 2.5, 7.0):
+        exact = -mpmath.bernpoly(1 - w, x) / (1 - w)
+        assert classical_hurwitz(float(w), x) == pytest.approx(float(exact), rel=1e-13,
+                                                                abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # normalized log-gamma and the reflection identity
 
@@ -817,6 +906,24 @@ def test_classical_hurwitz_agrees_with_series_route():
 def test_log_gamma_one_vs_libm(x):
     expected = math.lgamma(x) - 0.5 * math.log(2.0 * math.pi)
     assert log_gamma_one(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_log_gamma_one_runs_the_kernel_once(monkeypatch):
+    """N is chosen from the closed-form B_12 slope term, so one kernel call per value,
+    also where N = 16 (small x) and across the switch to N = 8 (x near 3)."""
+    calls = []
+    kernel = numerics._euler_maclaurin
+
+    def counted(w, y):
+        calls.append(y)
+        return kernel(w, y)
+
+    monkeypatch.setattr(numerics, "_euler_maclaurin", counted)
+    for x in (1e-300, 0.05, 1.3, 2.6, 2.8, 3.3, 3.8, 50.0, 1e12):
+        calls.clear()
+        expected = math.lgamma(x) - 0.5 * math.log(2.0 * math.pi)
+        assert log_gamma_one(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert len(calls) == 1
 
 
 def test_lgamma_classical_vs_libm():
@@ -866,7 +973,11 @@ def test_euler_reflection_at_large_s(s):
 
 
 def test_bernoulli_table_is_exact():
-    assert BERNOULLI_EVEN == {
-        2: F(1, 6), 4: F(-1, 30), 6: F(1, 42),
-        8: F(-1, 30), 10: F(5, 66), 12: F(-691, 2730),
-    }
+    """The Euler-Maclaurin coefficients are B_2k / (2k)! for B_2 .. B_12, each rounded
+    once; the Bernoulli numbers come from sum_{j <= m} C(m + 1, j) B_j = 0."""
+    b = [F(1)]
+    for m in range(1, 13):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    assert b[2::2] == [F(1, 6), F(-1, 30), F(1, 42), F(-1, 30), F(5, 66), F(-691, 2730)]
+    assert EULER_MACLAURIN_COEFFICIENTS == tuple(
+        float(b[2 * k] / math.factorial(2 * k)) for k in range(1, 7))

@@ -7,9 +7,9 @@ Claims covered:
 - products multiply/invert/shift consistently (numeric cross-check);
 - numerical evaluation agrees with direct complex arithmetic and with the
   rational sums at integer w, raises at poles/zeros (a Hurwitz term at
-  its shift is 0 for Re w < 0 and 1 at w = 0), and warns on
-  branch-cut evaluation; the zeta's value is exp of the Hurwitz form's
-  w-derivative at 0;
+  its shift is 0 for Re w < 0 and 1 at w = 0), warns on branch-cut
+  evaluation, and refuses a term whose phase w log(s - a) is lost in
+  rounding; the zeta's value is exp of the Hurwitz form's w-derivative at 0;
 - reflection across a center produces the factor map of P(c-s), and the
   functional-equation verdict and mismatch triples match a brute-force
   factor comparison;
@@ -26,7 +26,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abszeta.counting as cf
-from abszeta.errors import BranchCutWarning, DomainError, PoleError, PreconditionError
+from abszeta.errors import (BranchCutWarning, ConvergenceError, DomainError, PoleError,
+                            PreconditionError)
 from abszeta.symzeta import (
     FEParams,
     PowerProduct,
@@ -164,6 +165,17 @@ def test_eval_hurwitz_at_a_shift():
     for w in (2, 1j, 1e-300):
         with pytest.raises(PoleError, match="coincides with shift 3"):
             eval_hurwitz(n, w, 3)
+
+
+def test_eval_hurwitz_refuses_phases_lost_in_rounding():
+    """eps |Im(w log(s - a))| above MAX_PRODUCT_ROUNDING raises; a phase of 0 does not."""
+    u2 = cf.normalize([(2, 1)])
+    with pytest.raises(ConvergenceError, match="lost in rounding"):
+        eval_hurwitz(u2, 1e17, 1)                      # phase pi 1e17 at s - a = -1
+    with pytest.raises(ConvergenceError):
+        eval_hurwitz(u2, 1 + 1e16j, 5)                 # phase 1e16 log 3
+    assert eval_hurwitz(u2, 1e6, 1) == pytest.approx(1, abs=1e-9)  # eps pi 1e6 < 1e-9
+    assert eval_hurwitz(cf.normalize([(1, 1), (0, -1)]), 1e300, 3) == 0
 
 
 def test_log_derivative_at_zero_matches_log_of_product():
