@@ -269,19 +269,27 @@ def _bits(terms: list[tuple[int, int]]) -> int:
 
 
 def eval_at(n: CountingFunction, u: float) -> float:
-    """Evaluate N(u) for real u > 1 (rational exponents need a positive base)."""
+    """Evaluate N(u) for real u > 1 (rational exponents need a positive base).  With integer
+    exponents, a sum that cancels, eps sum |m u^a| > 1e-12 max(1, |N(u)|), is taken in
+    Fractions of u, within MAX_PACKED_BITS bits of powers (else ParameterRangeError)."""
     u = float(u)
     if not (math.isfinite(u) and u > 1.0):
         raise DomainError(f"counting functions are evaluated at finite u > 1, got u={u}")
     lu = math.log(u)
-    total = 0.0
+    total = size = 0.0
     try:
         for a, m in n.terms:
-            if a.denominator == 1:
-                # integer powers directly: keeps e.g. 4^3 - 4 at exactly 60.0
-                total += float(m) * u ** a.numerator
-            else:
-                total += float(m) * math.exp(float(a) * lu)
+            # integer powers directly: keeps e.g. 4^3 - 4 at exactly 60.0
+            term = float(m) * (u ** a.numerator if a.denominator == 1 else math.exp(float(a) * lu))
+            total, size = total + term, size + abs(term)
+        if (math.ulp(1.0) * size > 1e-12 * max(1.0, abs(total))
+                and all(a.denominator == 1 for a, _ in n.terms)):
+            exact_u = Fraction(u)
+            bits = exact_u.numerator.bit_length() * sum(abs(a.numerator) for a, _ in n.terms)
+            if bits > MAX_PACKED_BITS:
+                raise ParameterRangeError(f"N(u) at u={u} cancels below float rounding, and "
+                                          f"its exact powers exceed {MAX_PACKED_BITS} bits")
+            total = float(sum(m * exact_u ** a.numerator for a, m in n.terms))
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):

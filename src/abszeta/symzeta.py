@@ -130,15 +130,19 @@ def _finite_complex(value, what: str) -> complex:
 
 def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
     """Evaluate the Hurwitz form of n, sum m(a) * (s - a)^(-w), on principal branches;
-    at s = a the term is 0 for Re w < 0, 1 at w = 0, else a PoleError.  ConvergenceError
-    when a finite phase w log(s - a) rounds by more than MAX_PRODUCT_ROUNDING."""
+    at s = a the term is 0 for Re w < 0, 1 at w = 0, else a PoleError.  At a real s - a < 0
+    a real integer w takes (-1)^w |s - a|^(-w); else ConvergenceError when a finite phase
+    w log(s - a) rounds by more than MAX_PRODUCT_ROUNDING."""
     w = _finite_complex(w, "order w")
     s = _finite_complex(s, "argument s")
+    integer_w = w.imag == 0 and w.real.is_integer()
     total = 0j
     try:
         for a, m in n.terms:
             d = s - complex(float(a))
-            if d != 0:
+            if integer_w and d.imag == 0 and d.real < 0:
+                total += float(m) * (-1.0 if w.real % 2 else 1.0) * (-d.real) ** -w.real
+            elif d != 0:
                 z = -w * cmath.log(d)
                 if MAX_PRODUCT_ROUNDING < sys.float_info.epsilon * abs(z.imag) < math.inf:
                     raise ConvergenceError(f"the phase at shift {qstr(a)} is lost in rounding")

@@ -229,11 +229,13 @@ def test_hurwitz_bad_complex_argument_names_the_forms():
 
 
 def test_hurwitz_refuses_a_phase_lost_in_rounding():
-    """(-1)^(-1e17) is 1, but the phase pi 1e17 keeps no digit: exit 4, not noise.
-    A real w at a positive base has phase 0 and keeps its value."""
-    code, out, err = run_cli("hurwitz", "--expr", "u^2", "--w", "1e17", "--s", "1")
+    """At s - a = -1 + i the phase of w = 1e17 keeps no digit: exit 4, not noise.
+    A real w at a positive base has phase 0 and keeps its value, and a real integer
+    w at a negative real base takes its sign from the parity of w: (-1)^(-1e17) = 1."""
+    code, out, err = run_cli("hurwitz", "--expr", "u^2", "--w", "1e17", "--s", "1,1")
     assert (code, out) == (4, "")
     assert "lost in rounding" in err
+    assert run_cli("hurwitz", "--expr", "u^2", "--w", "1e17", "--s", "1") == (0, "1.0\n", "")
     assert run_cli("hurwitz", "--expr", "u-1", "--w", "1e300", "--s", "3") == (0, "0.0\n", "")
 
 

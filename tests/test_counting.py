@@ -286,6 +286,21 @@ def test_eval_at_known_values():
     assert cf.eval_at(half, 9.0) == pytest.approx(3.0, rel=1e-14)
 
 
+def test_eval_at_takes_a_cancelling_integer_sum_exactly():
+    """(u - 1)^40 at 1.5 is 2^-40, while its 41 float terms round to about 2e-6;
+    the Fractions of the float u give the sum exactly.  A rational exponent keeps
+    the float route, and exact powers beyond the packed-bit budget are refused."""
+    assert cf.eval_at(cf.tensor_power(cf.U_MINUS_ONE, 40), 1.5) == 2.0 ** -40
+    assert cf.eval_at(cf.tensor_power(cf.U_MINUS_ONE, 20), 1.5) == 2.0 ** -20
+    u = 1.1  # its Fraction has a 53-bit numerator, and the value is exact in that Fraction
+    expected = float((F(u) - 1) ** 30)
+    assert cf.eval_at(cf.tensor_power(cf.U_MINUS_ONE, 30), u) == expected
+    with pytest.raises(ParameterRangeError, match="cancels below float rounding"):
+        cf.eval_at(cf.tensor_power(cf.U_MINUS_ONE, 512), 1.1)
+    root = cf.normalize([(F(1, 2), 1), (0, -1)])  # u^(1/2) - 1
+    assert math.isfinite(cf.eval_at(cf.tensor_power(root, 400), 1.1))
+
+
 @pytest.mark.parametrize("u", [1.0, 0.5, -3.0, float("nan"), float("inf")])
 def test_eval_at_domain(u):
     with pytest.raises(DomainError):

@@ -168,13 +168,17 @@ def test_eval_hurwitz_at_a_shift():
 
 
 def test_eval_hurwitz_refuses_phases_lost_in_rounding():
-    """eps |Im(w log(s - a))| above MAX_PRODUCT_ROUNDING raises; a phase of 0 does not."""
+    """eps |Im(w log(s - a))| above MAX_PRODUCT_ROUNDING raises; a phase of 0 does not,
+    and a real integer w at a negative real s - a takes its sign from its parity."""
     u2 = cf.normalize([(2, 1)])
     with pytest.raises(ConvergenceError, match="lost in rounding"):
-        eval_hurwitz(u2, 1e17, 1)                      # phase pi 1e17 at s - a = -1
+        eval_hurwitz(u2, 1e17, 1 + 1j)                 # phase 2.4e17 at s - a = -1 + i
     with pytest.raises(ConvergenceError):
         eval_hurwitz(u2, 1 + 1e16j, 5)                 # phase 1e16 log 3
-    assert eval_hurwitz(u2, 1e6, 1) == pytest.approx(1, abs=1e-9)  # eps pi 1e6 < 1e-9
+    assert eval_hurwitz(u2, 1e17, 1) == 1              # (-1)^(-1e17), not pi 1e17
+    assert eval_hurwitz(u2, 1e6, 1) == 1
+    assert eval_hurwitz(u2, 3, 0.5) == -1 / 1.5 ** 3
+    assert eval_hurwitz(u2, -3, 1) == -1
     assert eval_hurwitz(cf.normalize([(1, 1), (0, -1)]), 1e300, 3) == 0
 
 
