@@ -13,7 +13,8 @@ w, and its absolute zeta equals the multi-period gamma function of the
 periods evaluated at s - d.  The product is expanded on integers, a power
 per distinct period, and checked by ``zeta_of_scheme`` against the gamma's
 exponent map from the subset-sum recurrence of ``gammasine``, which shares
-no expansion code with it.  Fractions are built once, for the result.
+no expansion code with it.  The counting function and the zeta hold the
+expansion's integer pairs; their Fractions are built only if read.
 
 A scheme's total period |w| is the degree of its counting function; the
 rank budget :data:`MAX_TOTAL_PERIOD` caps it before anything is expanded.
@@ -149,7 +150,7 @@ def _expansion(spec: SchemeSpec) -> list[tuple[int, int]]:
 
 def counting_of(spec: SchemeSpec) -> CountingFunction:
     """Counting function of a scheme: u^d * prod over the periods of (1 - u^-w)."""
-    return cf.from_integer_terms(_expansion(spec))
+    return CountingFunction.from_pairs(1, 1, _expansion(spec))
 
 
 def zeta_of_scheme(spec: SchemeSpec) -> PowerProduct:
@@ -171,9 +172,9 @@ def zeta_of_scheme(spec: SchemeSpec) -> PowerProduct:
         if {e: -c for e, c in terms} != gamma:
             raise AssertionError(
                 f"internal cross-check failed for {spec.name}: counting route gives "
-                f"{cf.from_integer_terms(terms)}, whose zeta is not the gamma of the "
+                f"{CountingFunction.from_pairs(1, 1, terms)}, whose zeta is not the gamma of the "
                 f"periods {spec.periods} at s - {d}")
-    return PowerProduct(tuple([(Fraction(e), Fraction(-c)) for e, c in reversed(terms)]), "s")
+    return PowerProduct.from_pairs(1, 1, [(e, -c) for e, c in reversed(terms)], "s")
 
 
 def fe_params_of(spec: SchemeSpec) -> FEParams:
@@ -182,13 +183,11 @@ def fe_params_of(spec: SchemeSpec) -> FEParams:
     The center is 2d - |w| (dimension d, total period |w|) and the sign is
     (-1)^rank; SpecF1 has no equation on record.
     """
-    if spec.periods is None:
+    periods = spec._row.periods(spec.r)
+    if not periods:
         raise NoFunctionalEquationError(f"no functional equation on record for {spec.name}")
-    d = spec.dimension
-    total = spec.periods.total()
-    center = Fraction(2 * d) - total
-    sign = -1 if spec.rank % 2 else 1
-    return FEParams(center=center, sign=sign)
+    return FEParams(center=Fraction(2 * spec.dimension - sum(periods)),
+                    sign=-1 if len(periods) % 2 else 1)
 
 
 def catalog_entries() -> tuple[SchemeSpec, ...]:

@@ -115,18 +115,18 @@ def _fmt_number(z: complex) -> str:
 
 def counting_doc(n: CountingFunction) -> dict:
     return {"kind": "counting", "variable": "u",
-            "terms": [{"exponent": qstr(a), "multiplicity": qstr(m)}
-                      for a, m in n.terms]}
+            "terms": [{"exponent": qstr(a, n.den), "multiplicity": qstr(m, n.mden)}
+                      for a, m in n.pairs]}
 
 
 def power_product_doc(p: PowerProduct) -> dict:
     return {"kind": "power_product", "variable": p.variable,
-            "factors": [{"root": qstr(r), "exp": qstr(e)} for r, e in p.factors]}
+            "factors": [{"root": qstr(r, p.den), "exp": qstr(e, p.mden)} for r, e in p.pairs]}
 
 
 def hurwitz_doc(n: CountingFunction) -> dict:
     return {"kind": "hurwitz_form", "variable": "s",
-            "terms": [{"shift": qstr(a), "coeff": qstr(m)} for a, m in n.terms]}
+            "terms": [{"shift": qstr(a, n.den), "coeff": qstr(m, n.mden)} for a, m in n.pairs]}
 
 
 def number_doc(z: complex) -> dict:

@@ -6,11 +6,15 @@ tensor product multiplies values N1(u) * N2(u), i.e. convolves the
 exponent maps.  Both operations keep the representation canonical:
 terms sorted by descending exponent, zero multiplicities dropped.
 
-Products and powers run on integers, by Kronecker substitution when the
-exponents are dense (see :func:`tensor_product`): one big-integer
-multiply, read back byte by byte.  Sparse ones, such as the square of
-``u^1000 + u + 1``, are convolved term pair by term pair.  Fractions are
-built only for the terms of the result.
+Every term map of the package (counting functions here, power products in
+``symzeta``) is a :class:`TermMap`: integer pairs (E, C) over a least
+exponent denominator L and a least multiplicity denominator M.  The
+operations run on those integers, and the ``Fraction`` pairs of ``terms``
+are built only when they are first read.  Products and powers run by
+Kronecker substitution when the exponents are dense (see
+:func:`tensor_product`): one big-integer multiply, read back byte by byte.
+Sparse ones, such as the square of ``u^1000 + u + 1``, are convolved term
+pair by term pair.
 
 Two budgets bound the work and are checked before anything is
 multiplied.  :data:`MAX_PACKED_BITS` caps the bits of a packed result
@@ -27,13 +31,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable
 
 from .errors import DomainError, ParameterRangeError
-from .rationals import canonical_terms, qstr, signed_sum
+from .rationals import as_rational, qstr, signed_sum
 from .reports import Record
-
-TermPair = Tuple[Fraction, Fraction]
 
 #: Expansion budget of a sparse product: the most term pairs it may form.
 #: A pair of small integer terms costs about 1.5 µs, so a product at the
@@ -45,7 +47,79 @@ MAX_PACKED_BITS = 2 ** 22
 DENSE_SLOTS_PER_TERM = 8
 
 
-class CountingFunction(Record):
+class TermMap(Record):
+    """A finite rational map held as integers: the key E / den and the value
+    C / mden for each pair (E, C) of the list ``pairs``, keys distinct and
+    sorted, no C zero, den and mden least (so gcd(mden, every C) = 1).
+
+    A subclass names the map's ``Fraction`` pairs as its first field, built
+    on first read and kept, and its other fields after; equality, hashing,
+    repr and pickling are those of :class:`Record` on these fields.
+    """
+
+    __slots__ = ("den", "mden", "pairs")
+
+    def __init__(self, view, *fields):
+        den = math.lcm(*[k.denominator for k, _ in view])
+        mden = math.lcm(*[v.denominator for _, v in view])
+        self._fill(self.__slots__, den, mden, [(k.numerator * (den // k.denominator),
+                                                v.numerator * (mden // v.denominator))
+                                               for k, v in view], view, *fields)
+
+    def _fill(self, names: tuple, *values) -> None:
+        for name, value in zip(TermMap.__slots__ + names, values):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):  # reached only while a slot is unset
+        if name != self.__slots__[0]:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, mden = self.den, self.mden  # Fraction(v) skips the gcd of Fraction(v, 1)
+        view = tuple([(Fraction(e) if den == 1 else Fraction(e, den),
+                       Fraction(c) if mden == 1 else Fraction(c, mden)) for e, c in self.pairs])
+        object.__setattr__(self, name, view)
+        return view
+
+    @classmethod
+    def from_pairs(cls, den: int, mden: int, pairs: list[tuple[int, int]], *fields):
+        """The record of integer pairs with distinct sorted keys and no C zero,
+        over any denominators den and mden, which are reduced to their least."""
+        g, h = _divisor(den, pairs, 0), _divisor(mden, pairs, 1)
+        if g > 1 or h > 1:
+            pairs = [(e // g, c // h) for e, c in pairs]
+        record = cls.__new__(cls)
+        record._fill(cls.__slots__[1:], den // g, mden // h, pairs, *fields)
+        return record
+
+    @classmethod
+    def merged(cls, maps: list["TermMap"], descending: bool, *fields):
+        """The pointwise sum of the maps, keys descending or ascending."""
+        den, mden = math.lcm(*[m.den for m in maps]), math.lcm(*[m.mden for m in maps])
+        acc: dict[int, int] = {}
+        for m in maps:
+            k, j = den // m.den, mden // m.mden
+            for e, c in m.pairs:
+                acc[e * k] = acc.get(e * k, 0) + c * j
+        return cls.from_pairs(den, mden, sorted([p for p in acc.items() if p[1]],
+                                                reverse=descending), *fields)
+
+    @classmethod
+    def canonical(cls, raw_pairs: Iterable[tuple[object, object]], descending: bool, *fields):
+        """The record of (key, value) rationals or rational literals, the
+        values of equal keys added and zeros dropped."""
+        raw = cls(tuple([(as_rational(k), as_rational(v)) for k, v in raw_pairs]), *fields)
+        return cls.merged([raw], descending, *fields)
+
+
+def _divisor(den: int, pairs: list[tuple[int, int]], i: int) -> int:
+    """gcd of den and entry i of every pair: the factor den exceeds its least by."""
+    for pair in pairs:
+        if den == 1:
+            break
+        den = math.gcd(den, pair[i])
+    return den
+
+
+class CountingFunction(TermMap):
     """Immutable finite map exponent -> multiplicity, exponent-descending.
 
     Instances should be built through :func:`normalize` (or the module
@@ -55,17 +129,17 @@ class CountingFunction(Record):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[TermPair, ...]):
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, terms: tuple[tuple[Fraction, Fraction], ...]):
+        super().__init__(terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.pairs
 
     def multiplicity_sum(self) -> Fraction:
-        return sum((m for _, m in self.terms), Fraction(0))
+        return Fraction(sum([c for _, c in self.pairs]), self.mden)
 
     def max_exponent(self) -> Fraction | None:
-        return self.terms[0][0] if self.terms else None
+        return Fraction(self.pairs[0][0], self.den) if self.pairs else None
 
     def __add__(self, other: "CountingFunction") -> "CountingFunction":
         return oplus(self, other)
@@ -78,21 +152,21 @@ class CountingFunction(Record):
 
     def __neg__(self) -> "CountingFunction":
         """-N: every multiplicity negated, no expansion."""
-        return CountingFunction(tuple([(a, -m) for a, m in self.terms]))
+        return CountingFunction.from_pairs(self.den, self.mden, [(e, -c) for e, c in self.pairs])
 
     def __str__(self) -> str:
         """Render as an expression the package's parser accepts back."""
-        return signed_sum(self.terms, _monomial)
+        return signed_sum(self.pairs, self.mden, lambda e: _monomial(e, self.den))
 
 
-def _monomial(a: Fraction) -> str:
-    if a == 0:
+def _monomial(e: int, den: int) -> str:
+    if e == 0:
         return ""
-    if a == 1:
+    if e == den:
         return "u"
-    if a.denominator == 1:
-        return f"u^{qstr(a)}"
-    return f"u^({qstr(a)})"
+    if e % den == 0:
+        return f"u^{qstr(e, den)}"
+    return f"u^({qstr(e, den)})"
 
 
 def normalize(raw_terms: Iterable[tuple[object, object]]) -> CountingFunction:
@@ -101,12 +175,12 @@ def normalize(raw_terms: Iterable[tuple[object, object]]) -> CountingFunction:
     Pairs with equal exponents are merged; zero multiplicities are dropped;
     the result is sorted by descending exponent.
     """
-    return CountingFunction(canonical_terms(raw_terms, descending=True))
+    return CountingFunction.canonical(raw_terms, True)
 
 
 def oplus(n1: CountingFunction, n2: CountingFunction) -> CountingFunction:
     """Direct sum: pointwise addition of the term maps."""
-    return normalize(n1.terms + n2.terms)
+    return CountingFunction.merged([n1, n2], True)
 
 
 def _check_budget(used: int, cap: int, unit: str) -> None:
@@ -134,22 +208,20 @@ def tensor_power(n: CountingFunction, r: int) -> CountingFunction:
 def tensor_product(factors: Iterable[tuple[CountingFunction, int]]) -> CountingFunction:
     """N_1^r_1 * ... * N_k^r_k for pairs (N_i, r_i) with r_i >= 1, in one expansion.
 
-    Each factor is taken to integers: its exponents times L, the lcm of all
-    exponent denominators, and its multiplicities times d_i, the lcm of
-    their own denominators.  The :func:`integer_product` is divided by
-    prod d_i^r_i once, when the terms are built.
+    The :func:`integer_product` of the factors' integer pairs, their
+    exponents brought to L, the lcm of the exponent denominators, is the
+    product over the multiplicity denominator prod M_i^r_i.
     """
     factors = [(n, _power(r)) for n, r in factors]
     if any(n.is_zero() for n, _ in factors):
         return ZERO
-    den = math.lcm(*[a.denominator for n, _ in factors for a, _ in n.terms])
-    denominators = [math.lcm(*[m.denominator for _, m in n.terms]) for n, _ in factors]
-    _check_budget(sum([r * (d - 1).bit_length() for (_, r), d in zip(factors, denominators)]),
+    _check_budget(sum([r * (n.mden - 1).bit_length() for n, r in factors]),
                   MAX_PACKED_BITS, "packed bits")
-    powers = [([(a.numerator * (den // a.denominator), m.numerator * (d // m.denominator))
-                for a, m in n.terms], r) for (n, r), d in zip(factors, denominators)]
-    return from_integer_terms(integer_product(powers), den,
-                              math.prod([d ** r for (_, r), d in zip(factors, denominators)]))
+    den = math.lcm(*[n.den for n, _ in factors])
+    powers = [(n.pairs if n.den == den else [(e * (den // n.den), c) for e, c in n.pairs], r)
+              for n, r in factors]
+    return CountingFunction.from_pairs(den, math.prod([n.mden ** r for n, r in factors]),
+                                       integer_product(powers))
 
 
 def integer_product(powers: list[tuple[list[tuple[int, int]], int]]) -> list[tuple[int, int]]:
@@ -161,20 +233,6 @@ def integer_product(powers: list[tuple[list[tuple[int, int]], int]]) -> list[tup
     if all([_dense(terms, step) for terms, _ in powers]):
         return _packed_product(powers, step)
     return _sparse_product(powers)
-
-
-def from_integer_terms(product: list[tuple[int, int]], den: int = 1,
-                       denominator: int = 1) -> CountingFunction:
-    """The counting function of the terms (E / den, C / denominator), for
-    exponent-descending integer terms (E, C) with C != 0."""
-    return CountingFunction(tuple(zip(_fractions([e for e, _ in product], den),
-                                      _fractions([c for _, c in product], denominator))))
-
-
-def _fractions(values: list[int], den: int) -> list[Fraction]:
-    if den == 1:  # the int-only path of Fraction.__new__, a third cheaper than Fraction(v, 1)
-        return [Fraction(v) for v in values]
-    return [Fraction(v, den) for v in values]
 
 
 def _lattice_step(powers: list[tuple[list[tuple[int, int]], int]]) -> int:
@@ -269,32 +327,62 @@ def _bits(terms: list[tuple[int, int]]) -> int:
 
 
 def eval_at(n: CountingFunction, u: float) -> float:
-    """Evaluate N(u) for real u > 1 (rational exponents need a positive base).  With integer
-    exponents, a sum that cancels, eps sum |m u^a| > 1e-12 max(1, |N(u)|), is taken in
-    Fractions of u, within MAX_PACKED_BITS bits of powers (else ParameterRangeError)."""
+    """Evaluate N(u) for real u > 1 (rational exponents need a positive base).  A sum that
+    cancels, eps sum |m u^a| > 1e-12 max(1, |N(u)|), is taken again on the lattice
+    v = u^(1/L): by :func:`exact_sum` in Fractions of u when L = 1, else by
+    :func:`_decimal_sum`."""
     u = float(u)
     if not (math.isfinite(u) and u > 1.0):
         raise DomainError(f"counting functions are evaluated at finite u > 1, got u={u}")
     lu = math.log(u)
+    den, mden = n.den, n.mden
     total = size = 0.0
     try:
-        for a, m in n.terms:
+        for e, c in n.pairs:
             # integer powers directly: keeps e.g. 4^3 - 4 at exactly 60.0
-            term = float(m) * (u ** a.numerator if a.denominator == 1 else math.exp(float(a) * lu))
+            term = c / mden * (u ** (e // den) if e % den == 0 else math.exp(e / den * lu))
             total, size = total + term, size + abs(term)
-        if (math.ulp(1.0) * size > 1e-12 * max(1.0, abs(total))
-                and all(a.denominator == 1 for a, _ in n.terms)):
+        if math.ulp(1.0) * size > 1e-12 * max(1.0, abs(total)):
             exact_u = Fraction(u)
-            bits = exact_u.numerator.bit_length() * sum(abs(a.numerator) for a, _ in n.terms)
-            if bits > MAX_PACKED_BITS:
-                raise ParameterRangeError(f"N(u) at u={u} cancels below float rounding, and "
-                                          f"its exact powers exceed {MAX_PACKED_BITS} bits")
-            total = float(sum(m * exact_u ** a.numerator for a, m in n.terms))
+            total = _decimal_sum(n, u) if den > 1 else exact_sum(
+                [(c, exact_u, e) for e, c in n.pairs], mden, f"N(u) at u={u}")
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
         raise DomainError(f"the value N(u) at u={u} must be finite, got {total}")
     return total
+
+
+def exact_sum(terms: list[tuple[int, Fraction, int]], mden: int, what: str) -> float:
+    """float(sum C b^k / mden) over the terms (C, b, k), rounded once; ParameterRangeError
+    when the powers b^k have more than MAX_PACKED_BITS bits."""
+    if sum([abs(k) * max(abs(b.numerator), b.denominator).bit_length()
+            for _, b, k in terms]) > MAX_PACKED_BITS:
+        raise ParameterRangeError(f"{what} cancels below float rounding, and its exact powers "
+                                  f"exceed {MAX_PACKED_BITS} bits")
+    return float(sum([c * b ** k for c, b, k in terms]) / mden)
+
+
+def _decimal_sum(n: CountingFunction, u: float) -> float:
+    """N(u) = sum C v^E / M in decimal, v = u^(1/L) by Newton's iteration on v^L = u, at a
+    precision p doubled until the rounding bound, sum |C v^E / M| (6 max |E| + terms + 2)
+    10^(1 - p), is below 1e-13 |N(u)|; ParameterRangeError once p times the number of
+    terms would pass MAX_PACKED_BITS log10 2 digits."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext  # fractions has it
+    den, pairs, prec = n.den, n.pairs, 32
+    factor = 6 * max([abs(e) for e, _ in pairs]) + len(pairs) + 2
+    exact_u, v = Decimal(u), Decimal(u ** (1 / den))
+    while prec * len(pairs) <= MAX_PACKED_BITS * math.log10(2):
+        with localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            for _ in range(3):  # a step doubles the digits of v, which start at the float's
+                v = ((den - 1) * v + exact_u / v ** (den - 1)) / den
+            terms = [c * v ** e for e, c in pairs]
+            total = sum(terms)
+            if sum([abs(t) for t in terms]) * factor * Decimal(10) ** (14 - prec) < abs(total):
+                return float(total / n.mden)
+        prec *= 2
+    raise ParameterRangeError(f"N(u) at u={u} cancels below float rounding, and its decimal "
+                              f"sum exceeds {MAX_PACKED_BITS * math.log10(2):.0f} digits")
 
 
 #: The zero function.

@@ -17,7 +17,8 @@ over the distinct sums, never by listing the 2^r subsets.  The sums are
 integers over a common denominator L of the periods, and both sine
 functions are one pass over them: the reflection maps the sum t to
 L|w| - t (``symzeta.reflection_defect``, as for functional equations).
-Fractions are built only for the factors that survive.
+A :class:`PeriodVector` holds L and its integer steps, and the products
+hold the surviving sums as integer pairs; no Fraction is built for them.
 
 Two budgets bound the work: :data:`MAX_PERIODS` periods (the rank budget,
 shared with the catalog), and :data:`MAX_SUBSET_STEPS` steps of the
@@ -47,22 +48,32 @@ MAX_PERIODS = 722
 MAX_SUBSET_STEPS = MAX_PERIODS * (MAX_PERIODS + 1)
 
 
-class PeriodVector(Record):
-    """Nonempty tuple of positive rational periods."""
+class _Steps(Record):
+    """The integer steps L * w_j of periods w_j over their least common denominator L."""
+
+    __slots__ = ("den", "steps")
+
+
+class PeriodVector(_Steps):
+    """Nonempty tuple of positive rational periods, held also as ``steps``
+    over ``den``."""
 
     __slots__ = ("periods",)
 
     def __init__(self, periods: tuple[Fraction, ...]):
-        object.__setattr__(self, "periods", tuple([as_rational(p) for p in periods]))
-        if not self.periods:
+        periods = tuple([as_rational(p) for p in periods])
+        if not periods:
             raise ParameterRangeError("a period vector needs at least one period")
-        if len(self.periods) > MAX_PERIODS:
+        if len(periods) > MAX_PERIODS:
             raise ParameterRangeError(f"at most {MAX_PERIODS} periods supported (the rank budget)")
-        for p in self.periods:
+        for p in periods:
             if p <= 0:
                 raise ParameterRangeError(f"periods must be positive, got {qstr(p)}")
+        den = math.lcm(*[p.denominator for p in periods])
+        steps = [p.numerator * (den // p.denominator) for p in periods]
+        for name, value in (("periods", periods), ("den", den), ("steps", steps)):
+            object.__setattr__(self, name, value)
         # the subset sums are multiples of gcd(steps) in [0, sum(steps)]
-        steps = _integer_steps(self)[1]
         sums = min(2 ** len(steps), sum(steps) // math.gcd(*steps) + 1)
         if len(steps) * sums > MAX_SUBSET_STEPS:
             raise ParameterRangeError(
@@ -70,19 +81,13 @@ class PeriodVector(Record):
                 f"budget of {MAX_SUBSET_STEPS} subset-sum steps")
 
     def __len__(self) -> int:
-        return len(self.periods)
+        return len(self.steps)
 
     def total(self) -> Fraction:
-        return sum(self.periods, Fraction(0))
+        return Fraction(sum(self.steps), self.den)
 
     def __str__(self) -> str:
         return "(" + ",".join(qstr(p) for p in self.periods) + ")"
-
-
-def _integer_steps(periods: PeriodVector) -> tuple[int, list[int]]:
-    """A common denominator L of the periods, and the integers L * w_j."""
-    den = math.lcm(*[p.denominator for p in periods.periods])
-    return den, [p.numerator * (den // p.denominator) for p in periods.periods]
 
 
 def as_period_vector(periods: Iterable[object] | PeriodVector) -> PeriodVector:
@@ -130,8 +135,8 @@ def _neg_gamma_exponents(r: int) -> dict[int, int]:
 def _product(exponents: dict[int, int], den: int) -> PowerProduct:
     """The power product in x with the factor (x + t/den)^e for each key t
     and nonzero exponent e, root-ascending."""
-    factors = sorted([(t, e) for t, e in exponents.items() if e], reverse=True)
-    return PowerProduct(tuple([(Fraction(-t, den), Fraction(e)) for t, e in factors]), "x")
+    return PowerProduct.from_pairs(den, 1, sorted([(-t, e) for t, e in exponents.items() if e]),
+                                   "x")
 
 
 def neg_sine(r: int) -> PowerProduct:
@@ -162,8 +167,7 @@ def multiperiod_gamma(spec: MultiGammaSpec) -> PowerProduct:
     periods equal to 1 the subsets of equal size merge and this reduces
     to :func:`neg_gamma`.
     """
-    den, steps = _integer_steps(spec.periods)
-    return _product(subset_sum_exponents(steps), den)
+    return _product(subset_sum_exponents(spec.periods.steps), spec.periods.den)
 
 
 def subset_sum_exponents(steps: Iterable[int]) -> dict[int, int]:
@@ -184,9 +188,9 @@ def multiperiod_sine(spec: MultiGammaSpec) -> PowerProduct:
     onto themselves (the complement map S -> periods \\ S).  Trivial -- the
     constant 1 -- for every negative integer order.  Computed as in :func:`neg_sine`.
     """
-    den, steps = _integer_steps(spec.periods)
+    steps = spec.periods.steps
     return _product(reflection_defect(subset_sum_exponents(steps), sum(steps),
-                                      (-1) ** len(steps)), den)
+                                      (-1) ** len(steps)), spec.periods.den)
 
 
 def tensor_power_fe_check(r: int) -> CheckReport:

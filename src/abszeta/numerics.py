@@ -410,7 +410,7 @@ def log_zeta_integral(n: CountingFunction, s: float,
     amax = float(n.max_exponent())
     if not s > amax:
         raise DomainError(f"needs s above the top exponent {amax}, got s={s}")
-    pairs = [(float(a), float(m)) for a, m in n.terms]
+    pairs = [(a / n.den, m / n.mden) for a, m in n.pairs]
     # Taylor moments of sum m e^(a t) for the t -> 0 limit of the kernel.
     moments = [sum(m * a ** k for a, m in pairs) / math.factorial(k) for k in range(1, 6)]
     rates = [(s - a, m) for a, m in pairs]

@@ -184,7 +184,8 @@ class _Parser:
         self._next()
         exponent, exp_offset = self._exponent()
         if bare_u:
-            return cf.normalize([(exponent, 1)]), 1
+            return CountingFunction.from_pairs(exponent.denominator, 1,
+                                               [(exponent.numerator, 1)]), 1
         if exponent.denominator != 1 or exponent < 0:
             raise ParseError(
                 "only the bare variable u takes rational or negative exponents",
@@ -203,7 +204,9 @@ class _Parser:
         if tok.kind == "u":
             return cf.U, True
         if tok.kind == "num":
-            return cf.normalize([(0, tok.value)]), False
+            value = tok.value
+            return CountingFunction.from_pairs(1, value.denominator,
+                                               [(0, value.numerator)] if value else []), False
         if tok.kind == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:

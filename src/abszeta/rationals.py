@@ -1,10 +1,11 @@
-"""Exact rational scalars, finite rational maps, and their canonical forms.
+"""Exact rational scalars: coercion and printing.
 
 All symbolic data in this package (exponents, multiplicities, roots,
-shifts) is kept as `fractions.Fraction` so algebraic identities hold
-exactly.  Floats are deliberately rejected by the coercion helper:
-converting a float silently would smuggle rounding error into the exact
-layer.
+shifts) is exact: `fractions.Fraction` scalars, and term maps held as
+integers over common denominators (``counting.TermMap``), so algebraic
+identities hold exactly.  Floats are deliberately rejected by the
+coercion helper: converting a float silently would smuggle rounding
+error into the exact layer.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"expected int, str, or Fraction, got {type(value).__name__}")
 
 
-def qstr(value: int | str | Fraction) -> str:
-    """Canonical rational string: ``"p"`` when the denominator is 1, else ``"p/q"``.
+def qstr(value: int | str | Fraction, den: int = 1) -> str:
+    """Canonical rational string of value / den: ``"p"`` when the reduced
+    denominator is 1, else ``"p/q"``.
 
     An integer part longer than ``str(int)`` prints (4300 digits by default)
     raises :class:`ParameterRangeError` naming its digit count.
     """
-    q = as_rational(value)
+    q = as_rational(value) if den == 1 else Fraction(value, den)
     try:
         if q.denominator == 1:
             return str(q.numerator)
@@ -59,26 +61,15 @@ def qstr(value: int | str | Fraction) -> str:
             f"(the limit is {sys.get_int_max_str_digits()})") from None
 
 
-def canonical_terms(pairs: Iterable[tuple[object, object]],
-                    descending: bool) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Canonical form of a finite rational map, given as (key, value) pairs:
-    values of equal keys added, zeros dropped, sorted by key."""
-    acc: dict[Fraction, Fraction] = {}
-    for k, v in pairs:
-        k, v = as_rational(k), as_rational(v)
-        acc[k] = acc[k] + v if k in acc else v
-    return tuple(sorted([(k, v) for k, v in acc.items() if v != 0],
-                        key=lambda p: p[0], reverse=descending))
-
-
-def signed_sum(terms: Iterable[tuple[Fraction, Fraction]], base) -> str:
-    """Print (key, coefficient) terms as ``c0*b0 + b1 - c2*b2 ...``, where
-    ``base(key)`` renders a factor ("" for none); unit coefficients are left out."""
+def signed_sum(pairs: Iterable[tuple[int, int]], den: int, base) -> str:
+    """Print (key, C) pairs as ``c0*b0 + b1 - c2*b2 ...``, the coefficients
+    C / den, where ``base(key)`` renders a factor ("" for none); unit
+    coefficients are left out."""
     pieces: list[str] = []
-    for k, m in terms:
+    for k, m in pairs:
         c = abs(m)
         b = base(k)
-        body = qstr(c) if not b else b if c == 1 else f"{qstr(c)}*{b}"
+        body = qstr(c, den) if not b else b if c == den else f"{qstr(c, den)}*{b}"
         sign = ("" if m > 0 else "-") if not pieces else ("+ " if m > 0 else "- ")
         pieces.append(sign + body)
     return " ".join(pieces) or "0"

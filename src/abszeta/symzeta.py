@@ -18,58 +18,56 @@ import math
 import sys
 import warnings
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable
 
-from .counting import CountingFunction
+from .counting import CountingFunction, TermMap, exact_sum
 from .errors import BranchCutWarning, ConvergenceError, DomainError, PoleError, PreconditionError
-from .rationals import as_rational, canonical_terms, qstr, signed_sum
+from .rationals import as_rational, qstr, signed_sum
 from .reports import Record
-
-FactorPair = Tuple[Fraction, Fraction]
 
 #: Largest relative rounding error :func:`eval_power_product` returns.
 MAX_PRODUCT_ROUNDING = 1e-9
 
 
-def _paren(variable: str, root: Fraction) -> str:
-    """Render the linear factor (variable - root) canonically."""
+def _paren(variable: str, root: int, den: int) -> str:
+    """Render the linear factor (variable - root / den) canonically."""
     if root == 0:
         return variable
     if root > 0:
-        return f"({variable}-{qstr(root)})"
-    return f"({variable}+{qstr(-root)})"
+        return f"({variable}-{qstr(root, den)})"
+    return f"({variable}+{qstr(-root, den)})"
 
 
 def hurwitz_str(n: CountingFunction, variable: str = "s") -> str:
     """Print the Hurwitz-type form of n, sum m(a) * (variable - a)^(-w),
     shift-descending (``s`` names zeta-side forms, ``x`` gamma-side ones)."""
-    return signed_sum(n.terms, lambda a: f"{_paren(variable, a)}^-w")
+    return signed_sum(n.pairs, n.mden, lambda a: f"{_paren(variable, a, n.den)}^-w")
 
 
-class PowerProduct(Record):
+class PowerProduct(TermMap):
     """Finite product of rational powers of linear factors.
 
     ``factors`` maps roots to exponents, root-ascending with nonzero
-    exponents; the empty product is the constant 1.
+    exponents; the empty product is the constant 1.  The integer pairs
+    (R, C) hold the roots R / den and the exponents C / mden.
     """
 
     __slots__ = ("factors", "variable")
 
-    def __init__(self, factors: tuple[FactorPair, ...], variable: str = "s"):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "variable", variable)
+    def __init__(self, factors: tuple[tuple[Fraction, Fraction], ...], variable: str = "s"):
+        super().__init__(factors, variable)
 
     def factor_map(self) -> dict[Fraction, Fraction]:
         return dict(self.factors)
 
     def is_one(self) -> bool:
-        return not self.factors
+        return not self.pairs
 
     def exponent_sum(self) -> Fraction:
-        return sum((e for _, e in self.factors), Fraction(0))
+        return Fraction(sum([e for _, e in self.pairs]), self.mden)
 
     def times(self, other: "PowerProduct") -> "PowerProduct":
-        return normalize_power_product(list(self.factors) + list(other.factors), self.variable)
+        return PowerProduct.merged([self, other], False, self.variable)
 
     def shifted(self, d, variable: str | None = None) -> "PowerProduct":
         """Substitute variable -> variable - d, i.e. move every root up by d."""
@@ -78,9 +76,10 @@ class PowerProduct(Record):
                                        variable if variable is not None else self.variable)
 
     def __str__(self) -> str:
-        if not self.factors:
+        if not self.pairs:
             return "1"
-        return " * ".join(f"{_paren(self.variable, r)}^{qstr(e)}" for r, e in self.factors)
+        return " * ".join(f"{_paren(self.variable, r, self.den)}^{qstr(e, self.mden)}"
+                          for r, e in self.pairs)
 
 
 class FEParams(Record):
@@ -113,12 +112,13 @@ class FEReport(Record):
 
 def normalize_power_product(pairs: Iterable[tuple[object, object]], variable: str = "s") -> PowerProduct:
     """Canonicalize (root, exponent) pairs: merge, drop zeros, sort ascending."""
-    return PowerProduct(canonical_terms(pairs, descending=False), variable)
+    return PowerProduct.canonical(pairs, False, variable)
 
 
 def zeta_of(n: CountingFunction, variable: str = "s") -> PowerProduct:
     """Absolute zeta of a counting function: root a gets exponent -m(a)."""
-    return PowerProduct(tuple([(a, -m) for a, m in reversed(n.terms)]), variable)
+    return PowerProduct.from_pairs(n.den, n.mden, [(a, -m) for a, m in reversed(n.pairs)],
+                                   variable)
 
 
 def _finite_complex(value, what: str) -> complex:
@@ -132,25 +132,36 @@ def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
     """Evaluate the Hurwitz form of n, sum m(a) * (s - a)^(-w), on principal branches;
     at s = a the term is 0 for Re w < 0, 1 at w = 0, else a PoleError.  At a real s - a < 0
     a real integer w takes (-1)^w |s - a|^(-w); else ConvergenceError when a finite phase
-    w log(s - a) rounds by more than MAX_PRODUCT_ROUNDING."""
+    w log(s - a) rounds by more than MAX_PRODUCT_ROUNDING.  At a real integer w and a real
+    s, a sum that cancels, eps sum |term| > 1e-12 max(1, |sum|), is taken in Fractions of
+    s by ``counting.exact_sum``."""
     w = _finite_complex(w, "order w")
     s = _finite_complex(s, "argument s")
     integer_w = w.imag == 0 and w.real.is_integer()
-    total = 0j
+    den, mden = n.den, n.mden
+    total, size = 0j, 0.0
     try:
-        for a, m in n.terms:
-            d = s - complex(float(a))
+        for a, m in n.pairs:
+            d = s - complex(a / den)
             if integer_w and d.imag == 0 and d.real < 0:
-                total += float(m) * (-1.0 if w.real % 2 else 1.0) * (-d.real) ** -w.real
+                term = m / mden * (-1.0 if w.real % 2 else 1.0) * (-d.real) ** -w.real
             elif d != 0:
                 z = -w * cmath.log(d)
                 if MAX_PRODUCT_ROUNDING < sys.float_info.epsilon * abs(z.imag) < math.inf:
-                    raise ConvergenceError(f"the phase at shift {qstr(a)} is lost in rounding")
-                total += float(m) * cmath.exp(z)
+                    raise ConvergenceError(f"the phase at shift {qstr(a, den)} is lost in rounding")
+                term = m / mden * cmath.exp(z)
             elif w == 0:
-                total += float(m)
-            elif w.real >= 0:
-                raise PoleError(f"evaluation point {s} coincides with shift {qstr(a)}")
+                term = m / mden
+            elif w.real < 0:
+                continue
+            else:
+                raise PoleError(f"evaluation point {s} coincides with shift {qstr(a, den)}")
+            total, size = total + term, size + abs(term)
+        if (integer_w and s.imag == 0
+                and sys.float_info.epsilon * size > 1e-12 * max(1.0, abs(total))):
+            exact_s, k = Fraction(s.real), -int(w.real)
+            total = complex(exact_sum([(m, exact_s - Fraction(a, den), k) for a, m in n.pairs],
+                                      mden, f"the Hurwitz form at w={w}, s={s}"))
     except (OverflowError, ValueError):  # ValueError: cmath.exp of an infinite exponent
         total = complex(math.inf)
     return _finite_complex(total, f"the Hurwitz form's value at w={w}, s={s}")
@@ -169,23 +180,24 @@ def eval_power_product(p: PowerProduct, s: complex) -> complex:
     rounding, eps sum |e log(s - root)|, exceeds :data:`MAX_PRODUCT_ROUNDING`.
     """
     s = _finite_complex(s, "argument s")
-    real = s.imag == 0 and all(e.denominator == 1 for _, e in p.factors)
+    den, mden = p.den, p.mden
+    real = s.imag == 0 and mden == 1
     sign, log_sum, magnitude, zero_hit = 1.0, 0j, 0.0, False
     try:
-        for r, e in p.factors:
-            d = s - complex(float(r))
+        for r, e in p.pairs:
+            d = s - complex(r / den)
             if d == 0:
                 if e < 0:
-                    raise PoleError(f"evaluation point {s} is a pole at root {qstr(r)}")
+                    raise PoleError(f"evaluation point {s} is a pole at root {qstr(r, den)}")
                 zero_hit = True
                 continue
-            if e.denominator != 1 and d.imag == 0 and d.real < 0:
+            if e % mden and d.imag == 0 and d.real < 0:
                 warnings.warn(
-                    f"non-integer power {qstr(e)} of negative real value {d.real}; "
+                    f"non-integer power {qstr(e, mden)} of negative real value {d.real}; "
                     "using the principal branch", BranchCutWarning, stacklevel=2)
-            if real and d.real < 0 and e.numerator % 2:
+            if real and d.real < 0 and e % 2:
                 sign = -sign
-            term = float(e) * cmath.log(d)
+            term = e / mden * cmath.log(d)
             log_sum += term
             magnitude += abs(term)
         if zero_hit:
@@ -201,10 +213,10 @@ def eval_power_product(p: PowerProduct, s: complex) -> complex:
 
 
 def _require_integer_exponents(p: PowerProduct, what: str) -> None:
-    for r, e in p.factors:
-        if e.denominator != 1:
-            raise PreconditionError(
-                f"{what} needs integer exponents, found {qstr(e)} at root {qstr(r)}")
+    if p.mden > 1:
+        r, e = next(pair for pair in p.pairs if pair[1] % p.mden)
+        raise PreconditionError(f"{what} needs integer exponents, found {qstr(e, p.mden)} "
+                                f"at root {qstr(r, p.den)}")
 
 
 def reflected(p: PowerProduct, center) -> tuple[PowerProduct, int]:
@@ -216,8 +228,11 @@ def reflected(p: PowerProduct, center) -> tuple[PowerProduct, int]:
     """
     center = as_rational(center)
     _require_integer_exponents(p, "reflection")
-    q = normalize_power_product(((center - r, e) for r, e in p.factors), p.variable)
-    sign = -1 if p.exponent_sum() % 2 else 1
+    den = math.lcm(center.denominator, p.den)
+    c, k = center.numerator * (den // center.denominator), den // p.den
+    q = PowerProduct.from_pairs(den, 1, [(c - r * k, e) for r, e in reversed(p.pairs)],
+                                p.variable)
+    sign = -1 if sum([e for _, e in p.pairs]) % 2 else 1
     return q, sign
 
 
@@ -242,13 +257,13 @@ def check_functional_equation(p: PowerProduct, fe: FEParams) -> FEReport:
     equals the original factor map (no :func:`reflection_defect`) and
     the exponent sum is even (an odd sum would flip the overall sign of
     the reflected product).  Requires integer exponents.  The maps are
-    compared on integers: roots times L, the lcm of the denominators of
-    the roots and the center, and the exponents' numerators.
+    compared on the integer pairs, roots brought to L, the lcm of their
+    denominator and the center's.
     """
     _require_integer_exponents(p, "functional-equation check")
-    den = math.lcm(fe.center.denominator, *[r.denominator for r, _ in p.factors])
-    center = fe.center.numerator * (den // fe.center.denominator)
-    original = {r.numerator * (den // r.denominator): e.numerator for r, e in p.factors}
+    den = math.lcm(fe.center.denominator, p.den)
+    center, k = fe.center.numerator * (den // fe.center.denominator), den // p.den
+    original = dict(p.pairs) if k == 1 else {r * k: e for r, e in p.pairs}
     mismatches = [(Fraction(t, den), Fraction(original.get(t, 0)), Fraction(original.get(t, 0) + d))
                   for t, d in sorted(reflection_defect(original, center, fe.sign).items())]
     parity = sum(original.values())

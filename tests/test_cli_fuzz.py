@@ -83,7 +83,8 @@ def _check(code: int, err: str, seconds: float) -> None:
     assert seconds < 10.0
 
 
-#: Argv the gate found, each of which once ended in a traceback.
+#: Argv the gate or a probe found, each of which once ended in a traceback or a
+#: wrong value.
 FOUND = (
     ["gamma", "--order=-1", "--x=1e-300", "--method=integral", "--tol=1e-300"],  # ZeroDivisionError
     ["gamma", "--order=-1", "--x=5e-324", "--method=integral"],                  # ZeroDivisionError
@@ -93,6 +94,10 @@ FOUND = (
     ["check", "reflection", "--s=65537.5"],                                       # RecursionError
     ["hurwitz", "--expr=u-1", "--w=1.7e308", "--s=0"],                             # ValueError
     ["hurwitz", "--expr=u^2", "--w=1e17", "--s=1"],                              # phase noise
+    ["eval", "--expr=(u^(1/2)-1)^40", "--u=1.5"],                                # cancellation
+    ["eval", "--expr=(u-4)^6*(u^(1/2)-3)^3", "--u=2.340685"],                    # cancellation
+    ["eval", "--expr=(u-4)^4*(u^(1/2)+3)^4", "--u=4.703625"],                    # cancellation
+    ["hurwitz", "--scheme=Gm^40", "--w=1", "--s=41.5"],                          # cancellation
 )
 
 
@@ -109,6 +114,10 @@ FOUND = (
 @example(FOUND[5])
 @example(FOUND[6])
 @example(FOUND[7])
+@example(FOUND[8])
+@example(FOUND[9])
+@example(FOUND[10])
+@example(FOUND[11])
 def test_cli_fuzz_in_process(argv):
     start = time.perf_counter()
     code, _, err = run_cli(*argv)
@@ -125,6 +134,11 @@ def test_cli_fuzz_in_process(argv):
     (FOUND[5], 3, ""),        # |s| above 2^14
     (FOUND[6], 3, ""),        # the term at a = 0 is a pole
     (FOUND[7], 0, "1.0\n"),   # (-1)^(-1e17) = 1, its sign taken from the parity of w
+    # sums that cancel far below float rounding, each against its exact value
+    (FOUND[8], 0, "1.1684001447545793e-26\n"),   # (1.5^(1/2) - 1)^40; floats gave -1.9e-3
+    (FOUND[9], 0, "-66.31126501858606\n"),
+    (FOUND[10], 0, "174.95189698512172\n"),
+    (FOUND[11], 0, "0.003345252865163681\n"),    # sum of C(40,k)(-1)^k/(41.5-k); floats 3.3461e-3
 ])
 def test_found_argv_end_in_their_exit_code(argv, code, out):
     got, printed, err = run_cli(*argv)

@@ -2,6 +2,10 @@
 
 Claims covered:
 - normalization merges equal exponents, drops zeros, sorts descending;
+- every operation returns the canonical integer term map: least exponent
+  and multiplicity denominators L and M, gcd(M, every C) = 1, integer
+  pairs (E, C) exponent-descending, equal to a Fraction reference; a
+  product's packed-bit charge uses each factor's reduced M;
 - direct sum is pointwise addition, tensor product convolves exponents
   (oracle: independent dict convolution, sympy expansion, and numeric
   evaluation homomorphisms);
@@ -13,7 +17,8 @@ Claims covered:
 - both expansion budgets, packed bits and term pairs, refuse oversized
   products before multiplying;
 - evaluation at real u > 1 behaves, is exact where the powers of u are,
-  and rejects out-of-domain points;
+  meets a high-precision reference where rational exponents cancel, and
+  rejects out-of-domain points;
 - the operations form a commutative semiring (hypothesis property suite).
 """
 
@@ -25,12 +30,14 @@ import time
 from fractions import Fraction as F
 from itertools import product as iproduct
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import abszeta.counting as cf
 from abszeta.errors import DomainError, ParameterRangeError
+from abszeta.parser import parse_expr
 from abszeta.rationals import as_rational
 
 # ---------------------------------------------------------------------------
@@ -95,6 +102,73 @@ def test_string_forms():
     assert str(cf.normalize([(F(1, 2), 1), (0, 1)])) == "u^(1/2) + 1"
     assert str(cf.normalize([(2, F(3, 2))])) == "3/2*u^2"
     assert str(cf.normalize([(-2, 1), (1, -1)])) == "-u + u^-2"
+
+
+def _canonical_form(acc: dict) -> tuple:
+    """The reference (L, M, pairs) of a Fraction map, built from its nonzero entries."""
+    acc = {a: m for a, m in acc.items() if m != 0}
+    den = math.lcm(*[a.denominator for a in acc])
+    mden = math.lcm(*[m.denominator for m in acc.values()])
+    return den, mden, [(int(a * den), int(m * mden))
+                       for a, m in sorted(acc.items(), reverse=True)]
+
+
+def _merged(raw) -> dict:
+    acc = {}
+    for a, m in raw:
+        acc[F(a)] = acc.get(F(a), F(0)) + F(m)
+    return acc
+
+
+def _assert_canonical(n, acc: dict) -> None:
+    assert (n.den, n.mden, n.pairs) == _canonical_form(acc)
+    assert type(n.pairs) is list
+    assert math.gcd(n.den, *[e for e, _ in n.pairs]) == 1 or not n.pairs
+    assert math.gcd(n.mden, *[c for _, c in n.pairs]) == 1
+
+
+raw_maps = st.lists(st.tuples(rationals, rationals), max_size=5)
+
+
+@settings(max_examples=150)
+@given(raw_maps, raw_maps, st.integers(1, 3))
+def test_operations_return_the_canonical_integer_map(raw1, raw2, r):
+    """normalize, oplus, otimes and tensor_power against a Fraction convolution."""
+    n1, n2 = cf.normalize(raw1), cf.normalize(raw2)
+    ref1, ref2 = _merged(raw1), _merged(raw2)
+    _assert_canonical(n1, ref1)
+    _assert_canonical(cf.oplus(n1, n2), _merged(list(raw1) + list(raw2)))
+    _assert_canonical(cf.otimes(n1, n2), oracle_otimes(ref1.items(), ref2.items()))
+    power = {F(0): F(1)}
+    for _ in range(r):
+        power = oracle_otimes(power.items(), ref1.items())
+    _assert_canonical(cf.tensor_power(n1, r), power)
+
+
+def test_product_reduces_its_denominators():
+    """(u/2 + 1/2)(2u + 2) = u^2 + 2u + 1 has M = 1, and u^(1/2) u^(1/2) has L = 1."""
+    n = cf.otimes(cf.normalize([(1, F(1, 2)), (0, F(1, 2))]), cf.normalize([(1, 2), (0, 2)]))
+    assert (n.den, n.mden, n.pairs) == (1, 1, [(2, 1), (1, 2), (0, 1)])
+    half = cf.normalize([(F(1, 2), 1)])
+    assert (cf.otimes(half, half).den, cf.otimes(half, half).pairs) == (1, [(1, 1)])
+    assert (cf.ZERO.den, cf.ZERO.mden, cf.ZERO.pairs) == (1, 1, [])
+
+
+def test_packed_bit_charge_uses_the_reduced_multiplicity_denominator():
+    """A factor of M = 2 is charged one bit a power, so (u/2)^r passes at
+    r = MAX_PACKED_BITS and is refused one power later, before anything is
+    multiplied; (u/2) 2 = u has M = 1 and is charged nothing."""
+    half_u = cf.normalize([(1, F(1, 2))])
+    power = cf.tensor_power(half_u, cf.MAX_PACKED_BITS)
+    assert (power.den, power.mden, power.pairs) == (1, 2 ** cf.MAX_PACKED_BITS,
+                                                    [(cf.MAX_PACKED_BITS, 1)])
+    start = time.perf_counter()
+    with pytest.raises(ParameterRangeError, match="packed bits"):
+        cf.tensor_power(half_u, cf.MAX_PACKED_BITS + 1)
+    assert time.perf_counter() - start < 0.1
+    u = cf.otimes(half_u, cf.normalize([(0, 2)]))
+    assert u == cf.U and u.mden == 1
+    assert cf.tensor_power(u, cf.MAX_PACKED_BITS + 1).pairs == [(cf.MAX_PACKED_BITS + 1, 1)]
 
 
 def test_accessors():
@@ -288,8 +362,8 @@ def test_eval_at_known_values():
 
 def test_eval_at_takes_a_cancelling_integer_sum_exactly():
     """(u - 1)^40 at 1.5 is 2^-40, while its 41 float terms round to about 2e-6;
-    the Fractions of the float u give the sum exactly.  A rational exponent keeps
-    the float route, and exact powers beyond the packed-bit budget are refused."""
+    the Fractions of the float u give the sum exactly.  Exact powers beyond the
+    packed-bit budget are refused; a rational exponent takes the decimal route."""
     assert cf.eval_at(cf.tensor_power(cf.U_MINUS_ONE, 40), 1.5) == 2.0 ** -40
     assert cf.eval_at(cf.tensor_power(cf.U_MINUS_ONE, 20), 1.5) == 2.0 ** -20
     u = 1.1  # its Fraction has a 53-bit numerator, and the value is exact in that Fraction
@@ -298,7 +372,37 @@ def test_eval_at_takes_a_cancelling_integer_sum_exactly():
     with pytest.raises(ParameterRangeError, match="cancels below float rounding"):
         cf.eval_at(cf.tensor_power(cf.U_MINUS_ONE, 512), 1.1)
     root = cf.normalize([(F(1, 2), 1), (0, -1)])  # u^(1/2) - 1
-    assert math.isfinite(cf.eval_at(cf.tensor_power(root, 400), 1.1))
+    assert cf.eval_at(cf.tensor_power(root, 400), 1.1) == 0.0  # 1.1e-525 underflows
+
+
+def _reference(n, u: float) -> float:
+    with mpmath.workdps(200):
+        return float(mpmath.fsum(mpmath.mpf(m.numerator) / m.denominator
+                                 * mpmath.mpf(u) ** (mpmath.mpf(a.numerator) / a.denominator)
+                                 for a, m in n.terms))
+
+
+def test_eval_at_takes_a_cancelling_rational_sum_in_decimal():
+    """With rational exponents a sum that cancels is taken on the lattice v = u^(1/L)
+    in decimal, within 1e-13 of a 200-digit reference (floats gave -1.9e-3 for
+    (u^(1/2) - 1)^40 at 1.5, whose value is 1.17e-26); an exact zero on the
+    lattice, which no precision resolves, is refused within the digit budget."""
+    for text, u in [("(u^(1/2)-1)^40", 1.5), ("(u-4)^6*(u^(1/2)-3)^3", 2.340685),
+                    ("(u-4)^4*(u^(1/2)+3)^4", 4.703625), ("(2/3*u^(1/3)-1)^30*(u-1)", 3.3)]:
+        n = parse_expr(text)
+        assert cf.eval_at(n, u) == pytest.approx(_reference(n, u), rel=1e-13, abs=0), text
+    rng = random.Random(7)
+    for _ in range(40):
+        d, k, j = rng.choice([2, 3, 5]), rng.randint(1, 40), rng.randint(0, 10)
+        c = F(rng.randint(1, 9), rng.randint(1, 4))
+        n = parse_expr(f"(u^(1/{d})-{c})^{k}*(u+1)^{j}")
+        u = rng.uniform(1.0001, 3.0)
+        # the float route, taken where eps sum |term| <= 1e-12 max(1, |N(u)|), is held to that
+        assert cf.eval_at(n, u) == pytest.approx(_reference(n, u), rel=1e-11, abs=1e-11), (n, u)
+    start = time.perf_counter()
+    with pytest.raises(ParameterRangeError, match="digits"):
+        cf.eval_at(parse_expr("(u^(3/2)-2*u^(1/2))^7"), 2.0)  # sqrt(2)^7 (2 - 2)^7
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("u", [1.0, 0.5, -3.0, float("nan"), float("inf")])

@@ -7,12 +7,17 @@ Claims covered, for every public record:
 - positional and keyword construction agree, and defaults apply;
 - assigning or deleting an attribute raises AttributeError;
 - the repr is ``Name(field=value, ...)``, field by field;
-- the validation done at construction raises the same errors as before.
+- the validation done at construction raises the same errors as before;
+- counting functions and power products built by the integer route, whose
+  Fraction view is built on first read, keep all of the above, and pickle;
+- the exact functional-equation path builds a few Fractions however many
+  terms its maps have.
 """
 
 from __future__ import annotations
 
 import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -75,6 +80,68 @@ def test_immutable(cls, args, kwargs, text):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert a == cls(**kwargs)
+
+
+#: Counting functions and power products built on integers, with the fields
+#: their Fraction view must read back.
+INTEGER_ROUTE = [
+    (lambda: az.tensor_power(az.U_MINUS_ONE, 2), (((F(2), F(1)), (F(1), F(-2)), (F(0), F(1))),)),
+    (lambda: az.parse_expr("(1/2*u^(1/2) - 1/3)^2"),
+     (((F(1), F(1, 4)), (F(1, 2), F(-1, 3)), (F(0), F(1, 9))),)),
+    (lambda: az.counting_of(az.sl(2)), (((F(3), F(1)), (F(1), F(-1))),)),
+    (lambda: az.zeta_of(az.parse_expr("u^(1/2) - 2/3")),
+     (((F(0), F(2, 3)), (F(1, 2), F(-1))), "s")),
+    (lambda: az.zeta_of_scheme(az.gm()), (((F(0), F(1)), (F(1), F(-1))), "s")),
+    (lambda: az.multiperiod_gamma(az.MultiGammaSpec(-2, (F(1, 2), 1))),
+     (((F(-3, 2), F(-1)), (F(-1), F(1)), (F(-1, 2), F(1)), (F(0), F(-1))), "x")),
+    (lambda: az.neg_sine(3), ((), "x")),
+]
+
+
+@pytest.mark.parametrize("build,fields", INTEGER_ROUTE, ids=[
+    "tensor_power", "parse_expr", "counting_of", "zeta_of", "zeta_of_scheme",
+    "multiperiod_gamma", "neg_sine"])
+def test_integer_route_value_semantics(build, fields):
+    """Each check starts from a fresh instance, whose view is not built yet."""
+    cls = type(build())
+    expected = cls(*fields)
+    assert build() == expected and expected == build() and build() == build()
+    assert hash(build()) == hash(fields) == hash(expected)
+    assert repr(build()) == repr(expected)
+    assert tuple(getattr(build(), name) for name in cls.__slots__) == fields
+    for clone in (copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))):
+        twin = clone(build())
+        assert type(twin) is cls and twin == expected and twin.pairs == expected.pairs
+    a = build()
+    for name in ("den", "pairs", cls.__slots__[0]):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, None)
+    assert getattr(a, cls.__slots__[0]) == fields[0]
+    assert all(type(x) is F for pair in getattr(build(), cls.__slots__[0]) for x in pair)
+
+
+def _scheme_fe_holds(spec) -> bool:
+    return az.check_functional_equation(az.zeta_of_scheme(spec), az.fe_params_of(spec)).holds
+
+
+@pytest.mark.parametrize("run", [
+    lambda: az.tensor_power_fe_check(5).passed,
+    lambda: az.tensor_power_fe_check(50).passed,
+    lambda: _scheme_fe_holds(az.gl(3)),
+    lambda: _scheme_fe_holds(az.gl(9)),
+], ids=["thm4-5", "thm4-50", "fe-GL(3)", "fe-GL(9)"])
+def test_exact_fe_path_builds_a_few_fractions(monkeypatch, run):
+    """The maps stay integer from the expansion to the verdict: the center is
+    the one Fraction, however many terms the map has."""
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    assert run()
+    assert len(built) <= 2, built
 
 
 def test_different_classes_are_never_equal():

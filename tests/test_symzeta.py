@@ -6,10 +6,11 @@ Claims covered:
 - canonical printing is root-ascending with "s^e" for root zero;
 - products multiply/invert/shift consistently (numeric cross-check);
 - numerical evaluation agrees with direct complex arithmetic and with the
-  rational sums at integer w, raises at poles/zeros (a Hurwitz term at
-  its shift is 0 for Re w < 0 and 1 at w = 0), warns on branch-cut
-  evaluation, and refuses a term whose phase w log(s - a) is lost in
-  rounding; the zeta's value is exp of the Hurwitz form's w-derivative at 0;
+  rational sums at integer w (a sum that cancels below float rounding is
+  taken in Fractions of s, within the packed-bit budget), raises at
+  poles/zeros (a Hurwitz term at its shift is 0 for Re w < 0 and 1 at
+  w = 0), warns on branch-cut evaluation, and refuses a term whose phase
+  w log(s - a) is lost in rounding; the zeta's value is exp of the Hurwitz form's w-derivative at 0;
 - reflection across a center produces the factor map of P(c-s), and the
   functional-equation verdict and mismatch triples match a brute-force
   factor comparison;
@@ -19,6 +20,7 @@ Claims covered:
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -26,8 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import abszeta.counting as cf
-from abszeta.errors import (BranchCutWarning, ConvergenceError, DomainError, PoleError,
-                            PreconditionError)
+from abszeta.errors import (BranchCutWarning, ConvergenceError, DomainError,
+                            ParameterRangeError, PoleError, PreconditionError)
 from abszeta.symzeta import (
     FEParams,
     PowerProduct,
@@ -151,6 +153,20 @@ def test_eval_hurwitz_exact():
     assert eval_hurwitz(SL2, 0, 4) == 0
     with pytest.raises(PoleError):
         eval_hurwitz(SL2, 2, 3)
+
+
+def test_eval_hurwitz_takes_a_cancelling_sum_exactly():
+    """sum_k C(r, k) (-1)^(r - k) (s - k)^(-w) is an r-th difference, far below its
+    terms; at a real integer w and a real s it is summed in Fractions of s and rounded
+    once (floats gave 3.3461e-3 for r = 40, w = 1, s = 41.5), unless its exact powers
+    pass MAX_PACKED_BITS bits."""
+    def exact(r, w, s):
+        return float(sum(F(math.comb(r, k) * (-1) ** (r - k)) * (F(s) - k) ** -w
+                         for k in range(r + 1)))
+    for r, w, s in [(40, 1, 41.5), (40, -45, 41.5), (90, -95, 0.5), (40, 3, -0.5)]:
+        assert eval_hurwitz(cf.tensor_power(cf.U_MINUS_ONE, r), w, s) == exact(r, w, s)
+    with pytest.raises(ParameterRangeError, match="exact powers exceed 4194304 bits"):
+        eval_hurwitz(cf.tensor_power(cf.U_MINUS_ONE, 90), -95, 5e-324)  # 2^-1074 in each base
 
 
 def test_eval_hurwitz_at_a_shift():
