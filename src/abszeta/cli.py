@@ -89,12 +89,9 @@ def _parse_periods(text: str) -> PeriodVector:
 
 
 def _as_int(value, what: str) -> int:
+    """The integer of a :func:`_parse_rational_or_float` value, whose floats are inf or nan."""
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int):
-        return value
     raise _UsageError(f"{what} must be an integer, got {value!r}")
 
 
@@ -371,10 +368,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text,
-                           formatter_class=argparse.RawDescriptionHelpFormatter,
-                           **kwargs)
+    def add(name, func, help_text, group=sub):
+        p = group.add_parser(name, parents=[common], help=help_text,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
         p.set_defaults(func=func)
         return _allow_negative_values(p)
 
@@ -405,31 +401,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="verification commands")
     chk_sub = chk.add_subparsers(dest="check_command", required=True)
 
-    def add_check(name, func, help_text):
-        p = chk_sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
-        return _allow_negative_values(p)
-
-    p = add_check("fe", _cmd_check_fe, "exact functional-equation check")
+    p = add("fe", _cmd_check_fe, "exact functional-equation check", chk_sub)
     p.add_argument("--expr")
     p.add_argument("--scheme")
     p.add_argument("--center", help="reflection center (rational)")
     p.add_argument("--sign", help="+1 or -1")
 
-    p = add_check("thm2", _cmd_check_thm2,
-                  "vanishing of the negative-order series at integers in (r, 0]")
+    p = add("thm2", _cmd_check_thm2,
+            "vanishing of the negative-order series at integers in (r, 0]", chk_sub)
     p.add_argument("--r", required=True, help="negative non-integer order")
     p.add_argument("--x", type=float, help="evaluation point x > 0 (default 0.5)")
 
-    add_check("identity-binomial", _cmd_check_identity_binomial,
-              "central binomial sum equals 1")
+    add("identity-binomial", _cmd_check_identity_binomial, "central binomial sum equals 1",
+        chk_sub)
 
-    p = add_check("reflection", _cmd_check_reflection,
-                  "classical reflection formula cross-check")
+    p = add("reflection", _cmd_check_reflection, "classical reflection formula cross-check",
+            chk_sub)
     p.add_argument("--s", type=float, required=True, help="non-integer argument")
 
-    p = add_check("thm4", _cmd_check_thm4,
-                  "tensor-power functional equation via the trivial sine")
+    p = add("thm4", _cmd_check_thm4, "tensor-power functional equation via the trivial sine",
+            chk_sub)
     p.add_argument("--r", required=True, help="tensor power r >= 1")
 
     p = add("eval", _cmd_eval, "evaluate a counting function at u > 1")
@@ -440,6 +431,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+#: The exit code of each error class, the first match winning; DomainError and
+#: any other package error exit 3.
+_EXIT_CODES = ((_UsageError, 1), (ParseError, 2), (ConvergenceError, 4), (AbsZetaError, 3))
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     try:
@@ -448,21 +444,10 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if (exc.code == 0 or exc.code is None) else 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        _report_error(args, "usage", str(exc))
-        return 1
-    except ParseError as exc:
-        _report_error(args, type(exc).__name__, str(exc))
-        return 2
-    except DomainError as exc:
-        _report_error(args, type(exc).__name__, str(exc))
-        return 3
-    except ConvergenceError as exc:
-        _report_error(args, type(exc).__name__, str(exc))
-        return 4
-    except AbsZetaError as exc:  # pragma: no cover - safety net
-        _report_error(args, type(exc).__name__, str(exc))
-        return 3
+    except (_UsageError, AbsZetaError) as exc:
+        code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        _report_error(args, "usage" if code == 1 else type(exc).__name__, str(exc))
+        return code
 
 
 def _report_error(args, kind: str, message: str) -> None:

@@ -328,9 +328,8 @@ def _bits(terms: list[tuple[int, int]]) -> int:
 
 def eval_at(n: CountingFunction, u: float) -> float:
     """Evaluate N(u) for real u > 1 (rational exponents need a positive base).  A sum that
-    cancels, eps sum |m u^a| > 1e-12 max(1, |N(u)|), is taken again on the lattice
-    v = u^(1/L): by :func:`exact_sum` in Fractions of u when L = 1, else by
-    :func:`_decimal_sum`."""
+    :func:`cancels` is taken again on the lattice v = u^(1/L): by :func:`exact_sum` in
+    Fractions of u when L = 1, else by :func:`_decimal_sum`."""
     u = float(u)
     if not (math.isfinite(u) and u > 1.0):
         raise DomainError(f"counting functions are evaluated at finite u > 1, got u={u}")
@@ -342,10 +341,11 @@ def eval_at(n: CountingFunction, u: float) -> float:
             # integer powers directly: keeps e.g. 4^3 - 4 at exactly 60.0
             term = c / mden * (u ** (e // den) if e % den == 0 else math.exp(e / den * lu))
             total, size = total + term, size + abs(term)
-        if math.ulp(1.0) * size > 1e-12 * max(1.0, abs(total)):
+        if cancels(size, total):
             exact_u = Fraction(u)
-            total = _decimal_sum(n, u) if den > 1 else exact_sum(
-                [(c, exact_u, e) for e, c in n.pairs], mden, f"N(u) at u={u}")
+            total = _decimal_sum(n, u) if den > 1 else float(exact_sum(
+                [(c, exact_u, e) for e, c in n.pairs], mden,
+                f"N(u) at u={u} cancels below float rounding"))
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
@@ -353,32 +353,39 @@ def eval_at(n: CountingFunction, u: float) -> float:
     return total
 
 
-def exact_sum(terms: list[tuple[int, Fraction, int]], mden: int, what: str) -> float:
-    """float(sum C b^k / mden) over the terms (C, b, k), rounded once; ParameterRangeError
-    when the powers b^k have more than MAX_PACKED_BITS bits."""
+def cancels(size: float, total) -> bool:
+    """Whether a float sum whose terms add to size in absolute value may have lost
+    its value total to rounding: eps size > 1e-12 |total|, a relative bound at any scale."""
+    return math.ulp(1.0) * size > 1e-12 * abs(total)
+
+
+def exact_sum(terms: list[tuple[int, Fraction, int]], mden: int, what: str) -> Fraction:
+    """sum C b^k / mden over the terms (C, b, k), exactly; ParameterRangeError when the
+    powers b^k have more than MAX_PACKED_BITS bits."""
     if sum([abs(k) * max(abs(b.numerator), b.denominator).bit_length()
             for _, b, k in terms]) > MAX_PACKED_BITS:
-        raise ParameterRangeError(f"{what} cancels below float rounding, and its exact powers "
-                                  f"exceed {MAX_PACKED_BITS} bits")
-    return float(sum([c * b ** k for c, b, k in terms]) / mden)
+        raise ParameterRangeError(f"{what}, and its exact powers exceed {MAX_PACKED_BITS} bits")
+    return Fraction(sum([c * b ** k for c, b, k in terms]), mden)
 
 
 def _decimal_sum(n: CountingFunction, u: float) -> float:
     """N(u) = sum C v^E / M in decimal, v = u^(1/L) by Newton's iteration on v^L = u, at a
     precision p doubled until the rounding bound, sum |C v^E / M| (6 max |E| + terms + 2)
-    10^(1 - p), is below 1e-13 |N(u)|; ParameterRangeError once p times the number of
-    terms would pass MAX_PACKED_BITS log10 2 digits."""
+    10^(1 - p), is below 1e-13 |N(u)|, or below 1e-13 of the least subnormal float, so
+    that a zero of N on the lattice reads 0.0; ParameterRangeError once p times the
+    number of terms would pass MAX_PACKED_BITS log10 2 digits."""
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext  # fractions has it
     den, pairs, prec = n.den, n.pairs, 32
     factor = 6 * max([abs(e) for e, _ in pairs]) + len(pairs) + 2
-    exact_u, v = Decimal(u), Decimal(u ** (1 / den))
+    exact_u, v, least = Decimal(u), Decimal(u ** (1 / den)), Decimal(math.ulp(0.0))
     while prec * len(pairs) <= MAX_PACKED_BITS * math.log10(2):
         with localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)):
             for _ in range(3):  # a step doubles the digits of v, which start at the float's
                 v = ((den - 1) * v + exact_u / v ** (den - 1)) / den
             terms = [c * v ** e for e, c in pairs]
             total = sum(terms)
-            if sum([abs(t) for t in terms]) * factor * Decimal(10) ** (14 - prec) < abs(total):
+            if (sum([abs(t) for t in terms]) * factor * Decimal(10) ** (14 - prec)
+                    < max(abs(total), least)):
                 return float(total / n.mden)
         prec *= 2
     raise ParameterRangeError(f"N(u) at u={u} cancels below float rounding, and its decimal "

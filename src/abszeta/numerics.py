@@ -41,7 +41,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate, count
 
-from .counting import CountingFunction
+from .counting import MAX_PACKED_BITS, CountingFunction, cancels, exact_sum
 from .errors import (ConvergenceError, DomainError, ParameterRangeError, PoleError,
                      PreconditionError)
 from .quadrature import QuadSettings, integrate
@@ -223,25 +223,34 @@ def _series_limit(r: float, x: float, w, cfg: SeriesSettings, what: str):
 def _terminating_sum(k: int, x: float, w, cfg: SeriesSettings):
     """The -k + 1 terms of integer order k <= 0 (all later ones vanish), summed.
 
-    They alternate, and sum_n |C(n + k - 1, n)| = 2^-k: a sum of log weights
-    (w None) that may round to 2 eps 2^-k max_n |log(n + x)|, above the
-    tolerance, is refused before summing, and a term beyond the float range when met."""
+    Their float sum rounds by at most eps W: W = 2 S for log weights, 4 S + |w| min(1/2,
+    x / eps) S' for a power w, S = sum_n |C(n + k - 1, n) weight(n + x)| and S' its part
+    n >= 1, whose bases n + x round (worst ratios of error to eps W, against mpmath down to
+    order -40: 0.49 and 0.90).  Past the tolerance a sum that :func:`~abszeta.counting.cancels`
+    is taken exactly at a real integer w, rounded once, and refused at any other weight."""
     if -k + 1 > cfg.max_terms:
         raise ConvergenceError(
             f"order {k} has {-k + 1} terms, above the cap of {cfg.max_terms}; raise max_terms")
-    if w is None:  # the bound is taken in logs, so that no |k| overflows it
-        log10_bound = (math.log10(2.0 * sys.float_info.epsilon
-                                  * max(abs(math.log(x)), math.log(x - k))) - k * math.log10(2.0))
-        if log10_bound > math.log10(cfg.tol):
-            raise ConvergenceError(
-                f"gamma series of order {k} at x={x}: rounding in its {1 - k} alternating "
-                f"terms may reach 10^{log10_bound:.1f}, above the tolerance {cfg.tol:.2e}; "
-                "use --method integral")
+    what = f"terminating sum of order {k} at x={x}"
+    hint = "; use --method integral" if w is None else ""
     try:
-        return next(_partial_sums(float(k), x, w, [1 - k]))
+        total = next(_partial_sums(float(k), x, w, [1 - k]))
+        moduli = [math.comb(-k, n) * (abs(math.log(n + x)) if w is None else (n + x) ** -w.real)
+                  for n in range(1 - k)]
+        size, tail = sum(moduli), sum(moduli[1:])
+        weighted = 2.0 * size if w is None else (
+            4.0 * size + (abs(w) * min(0.5, x / sys.float_info.epsilon) * tail if tail else 0.0))
     except OverflowError:
-        raise ConvergenceError(
-            f"terminating sum of order {k} at x={x}: a term left the float range") from None
+        total = math.inf
+    if not (cmath.isfinite(total) and math.isfinite(weighted)):
+        raise ConvergenceError(f"{what}: a term left the float range{hint}")
+    bound = sys.float_info.epsilon * weighted
+    if bound <= cfg.tol or not cancels(weighted, total):
+        return total
+    if w is not None and w.imag == 0 and w.real.is_integer():
+        return complex(zeta_series_exact(k, int(w.real), Fraction(x)))
+    raise ConvergenceError(f"{what}: rounding in its {1 - k} alternating terms may reach "
+                           f"{bound:.2e}, above the tolerance {cfg.tol:.2e}{hint}")
 
 
 def _finite_positive(x, what: str) -> float:
@@ -299,10 +308,13 @@ def zeta_series_exact(r: int, w: int, x) -> Fraction:
     x = as_rational(x)
     if not x > 0:
         raise DomainError(f"series needs x > 0, got x={x}")
-    total = Fraction(0)
-    for n, h in zip(range(-k + 1), _exact_coefficients(Fraction(k))):
-        total += h * (n + x) ** (-w)
-    return total
+    what = f"the terminating sum of order {k} at w={w}, x={x} is taken exactly"
+    if (1 - k) * -k > MAX_PACKED_BITS:  # |C(n + k - 1, n)| <= 2^-k, counted before any is built
+        raise ParameterRangeError(
+            f"{what}, and its {1 - k} coefficients may exceed {MAX_PACKED_BITS} bits")
+    return exact_sum([(h, n + x, -w) for n, h in zip(range(-k + 1),
+                                                      _exact_coefficients(Fraction(k)))],
+                     1, what)
 
 
 def gamma_series(r, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:

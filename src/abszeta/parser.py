@@ -21,6 +21,7 @@ expansion.  A Unicode minus sign is accepted as '-'.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from . import counting as cf
@@ -46,14 +47,11 @@ take nonnegative integer exponents (at most 512), keeping expansion
 finite.  Whitespace is insignificant; a Unicode minus works as '-'.
 """
 
-_MINUS_CHARS = "-−"
-_ASCII_DIGITS = "0123456789"
-
-
-def _is_digit(c: str) -> bool:
-    # str.isdigit() accepts Unicode digits (e.g. superscripts) that int()
-    # rejects; the grammar means ASCII digits only.
-    return c in _ASCII_DIGITS
+#: One match per token: an unsigned literal with its '/' part if any, a run of
+#: whitespace (dropped), an operator or u (a Unicode minus reads as '-'), or
+#: any other character, which is rejected.  Digits are ASCII only, as the
+#: grammar means; \d would also match other Unicode digits.
+_TOKEN = re.compile(r"([0-9]+)(/[0-9]*)?|[ \t\r\n]+|([-−+*^()u])|(.)", re.S)
 
 
 def _int_literal(digits: str, offset: int) -> int:
@@ -63,113 +61,80 @@ def _int_literal(digits: str, offset: int) -> int:
         raise ParseError(f"numeric literal of {len(digits)} digits is too long", offset) from None
 
 
-class _Token:
-    __slots__ = ("kind", "value", "offset")
-
-    def __init__(self, kind: str, value: Fraction | None, offset: int):
-        self.kind = kind  # 'num', 'u', '+', '-', '*', '^', '(', ')'
-        self.value = value
-        self.offset = offset
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c in _MINUS_CHARS:
-            tokens.append(_Token("-", None, i))
-            i += 1
-            continue
-        if c in "+*^()":
-            tokens.append(_Token(c, None, i))
-            i += 1
-            continue
-        if c == "u":
-            tokens.append(_Token("u", None, i))
-            i += 1
-            continue
-        if _is_digit(c):
-            start = i
-            while i < n and _is_digit(text[i]):
-                i += 1
-            num = _int_literal(text[start:i], start)
-            den = 1
-            if i < n and text[i] == "/":
-                j = i + 1
-                if j >= n or not _is_digit(text[j]):
-                    raise ParseError("expected digits after '/'", i + 1)
-                i = j
-                while i < n and _is_digit(text[i]):
-                    i += 1
-                den = _int_literal(text[j:i], start)
-                if den == 0:
-                    raise ParseError("zero denominator in rational literal", start)
-            tokens.append(_Token("num", Fraction(num, den), start))
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+def _tokenize(text: str) -> list[tuple[str, Fraction | None, int]]:
+    """(kind, value, offset) per token, kind 'num', 'u' or an operator, and
+    an 'end' token at len(text)."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        digits, over, char, bad = m.groups()
+        start = m.start()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", start)
+        if char is not None:
+            tokens.append(("-" if char == "−" else char, None, start))
+        elif digits is not None:
+            num = _int_literal(digits, start)
+            if over == "/":
+                raise ParseError("expected digits after '/'", start + len(digits) + 1)
+            den = _int_literal(over[1:], start) if over else 1
+            if den == 0:
+                raise ParseError("zero denominator in rational literal", start)
+            tokens.append(("num", Fraction(num, den), start))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+    def _next(self) -> tuple[str, Fraction | None, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
         self.pos += 1
         return tok
 
-    def _expect(self, kind: str) -> _Token:
+    def _accept(self, kinds: str) -> str | None:
+        """The kind of the next token, consumed, if it is an operator listed in kinds."""
+        kind = self.tokens[self.pos][0]
+        if kind in kinds:
+            self.pos += 1
+            return kind
+        return None
+
+    def _expect(self, kind: str) -> tuple[str, Fraction | None, int]:
         tok = self._next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.offset)
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         return tok
 
     def parse(self) -> CountingFunction:
-        if not self.tokens:
+        if len(self.tokens) == 1:
             raise ParseError("empty input", 0)
         result = self._expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing {tok.kind!r}", tok.offset)
+        kind, _, offset = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing {kind!r}", offset)
         return result
 
     def _expr(self) -> CountingFunction:
-        negate = False
-        tok = self._peek()
-        if tok is not None and tok.kind == "-":
-            self._next()
-            negate = True
-        total = -self._term() if negate else self._term()
+        """The signed terms of a sum, added in one merge."""
+        sign = self._accept("-")
+        terms = []
         while True:
-            tok = self._peek()
-            if tok is None or tok.kind not in "+-":
-                return total
-            self._next()
-            rhs = self._term()
-            total = cf.oplus(total, -rhs if tok.kind == "-" else rhs)
+            term = self._term()
+            terms.append(-term if sign == "-" else term)
+            sign = self._accept("+-")
+            if sign is None:
+                return terms[0] if len(terms) == 1 else CountingFunction.merged(terms, True)
 
     def _term(self) -> CountingFunction:
         """A product of powers, parsed whole and then expanded in one call."""
         factors = [self._factor()]
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "*":
-                break
-            self._next()
+        while self._accept("*"):
             factors.append(self._factor())
         if len(factors) == 1 and factors[0][1] == 1:
             return factors[0][0]
@@ -178,10 +143,8 @@ class _Parser:
     def _factor(self) -> tuple[CountingFunction, int]:
         """A base and the tensor power it is raised to."""
         base, bare_u = self._base()
-        tok = self._peek()
-        if tok is None or tok.kind != "^":
+        if not self._accept("^"):
             return base, 1
-        self._next()
         exponent, exp_offset = self._exponent()
         if bare_u:
             return CountingFunction.from_pairs(exponent.denominator, 1,
@@ -200,41 +163,36 @@ class _Parser:
         return base, k
 
     def _base(self) -> tuple[CountingFunction, bool]:
-        tok = self._next()
-        if tok.kind == "u":
+        kind, value, offset = self._next()
+        if kind == "u":
             return cf.U, True
-        if tok.kind == "num":
-            value = tok.value
+        if kind == "num":
             return CountingFunction.from_pairs(1, value.denominator,
                                                [(0, value.numerator)] if value else []), False
-        if tok.kind == "(":
+        if kind == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:
-                raise ParseError("nesting too deep", tok.offset)
+                raise ParseError("nesting too deep", offset)
             inner = self._expr()
             self._expect(")")
             self.depth -= 1
             return inner, False
-        raise ParseError(f"expected a value, found {tok.kind!r}", tok.offset)
+        raise ParseError(f"expected a value, found {kind!r}", offset)
 
     def _exponent(self) -> tuple[Fraction, int]:
-        tok = self._next()
-        if tok.kind == "num":
-            return tok.value, tok.offset
-        if tok.kind == "-":
-            num = self._expect("num")
-            return -num.value, tok.offset
-        if tok.kind == "(":
-            sign = 1
-            inner = self._next()
-            if inner.kind == "-":
-                sign = -1
-                inner = self._next()
-            if inner.kind != "num":
-                raise ParseError("expected a rational exponent", inner.offset)
+        kind, value, offset = self._next()
+        if kind == "num":
+            return value, offset
+        if kind == "-":
+            return -self._expect("num")[1], offset
+        if kind == "(":
+            sign = -1 if self._accept("-") else 1
+            inner_kind, inner, inner_offset = self._next()
+            if inner_kind != "num":
+                raise ParseError("expected a rational exponent", inner_offset)
             self._expect(")")
-            return sign * inner.value, tok.offset
-        raise ParseError("expected an exponent", tok.offset)
+            return sign * inner, offset
+        raise ParseError("expected an exponent", offset)
 
 
 def parse_expr(text: str) -> CountingFunction:

@@ -20,7 +20,7 @@ import warnings
 from fractions import Fraction
 from typing import Iterable
 
-from .counting import CountingFunction, TermMap, exact_sum
+from .counting import CountingFunction, TermMap, cancels, exact_sum
 from .errors import BranchCutWarning, ConvergenceError, DomainError, PoleError, PreconditionError
 from .rationals import as_rational, qstr, signed_sum
 from .reports import Record
@@ -133,8 +133,7 @@ def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
     at s = a the term is 0 for Re w < 0, 1 at w = 0, else a PoleError.  At a real s - a < 0
     a real integer w takes (-1)^w |s - a|^(-w); else ConvergenceError when a finite phase
     w log(s - a) rounds by more than MAX_PRODUCT_ROUNDING.  At a real integer w and a real
-    s, a sum that cancels, eps sum |term| > 1e-12 max(1, |sum|), is taken in Fractions of
-    s by ``counting.exact_sum``."""
+    s, a sum that ``counting.cancels`` is taken in Fractions of s by ``counting.exact_sum``."""
     w = _finite_complex(w, "order w")
     s = _finite_complex(s, "argument s")
     integer_w = w.imag == 0 and w.real.is_integer()
@@ -157,11 +156,11 @@ def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
             else:
                 raise PoleError(f"evaluation point {s} coincides with shift {qstr(a, den)}")
             total, size = total + term, size + abs(term)
-        if (integer_w and s.imag == 0
-                and sys.float_info.epsilon * size > 1e-12 * max(1.0, abs(total))):
+        if integer_w and s.imag == 0 and cancels(size, total):
             exact_s, k = Fraction(s.real), -int(w.real)
             total = complex(exact_sum([(m, exact_s - Fraction(a, den), k) for a, m in n.pairs],
-                                      mden, f"the Hurwitz form at w={w}, s={s}"))
+                                      mden, f"the Hurwitz form at w={w}, s={s} cancels below "
+                                      "float rounding"))
     except (OverflowError, ValueError):  # ValueError: cmath.exp of an infinite exponent
         total = complex(math.inf)
     return _finite_complex(total, f"the Hurwitz form's value at w={w}, s={s}")

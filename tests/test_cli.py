@@ -318,6 +318,8 @@ def test_eval():
     assert (code, out) == (0, "60.0\n")
     doc = run_json("eval", "--expr", "u^3 - u", "--u", "4")
     assert doc == {"kind": "number", "re": 60.0, "im": 0.0}
+    # a zero on the lattice: u^(1/2) = 2 at u = 4
+    assert run_cli("eval", "--expr", "u^(1/2)-2", "--u", "4")[:2] == (0, "0.0\n")
 
 
 def test_catalog_listing():
@@ -498,6 +500,14 @@ def test_bad_center_is_one_usage_line(center):
     code, out, err = run_cli("check", "fe", "--expr", "u-1", "--center", center, "--sign", "1")
     assert (code, out) == (1, "")
     assert err == f"abszeta: error: --center must be a rational number, got {center!r}\n"
+
+
+def test_bad_sign_is_one_usage_line():
+    code, out, err = run_cli("check", "fe", "--expr", "u", "--center", "1", "--sign", "2")
+    assert (code, out) == (1, "")
+    assert err == "abszeta: error: --sign must be +1 or -1, got '2'\n"
+    code, _, err = run_cli("check", "fe", "--expr", "u", "--center", "1", "--sign", "2", "--json")
+    assert (code, json.loads(err.splitlines()[1])["error"]) == (1, "usage")
 
 
 def test_budget_errors_name_their_limit():

@@ -101,6 +101,11 @@ FOUND = (
 )
 
 
+#: u^1 + ... + u^17772, 131 069 characters: the longest such sum that one argument of
+#: a Linux process holds (131 072 bytes, its terminating NUL included).
+LONG_SUM = ["counting", "--expr", "+".join(f"u^{k}" for k in range(1, 17773))]
+
+
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow],
           print_blob=True)
 @given(argvs())
@@ -118,6 +123,7 @@ FOUND = (
 @example(FOUND[9])
 @example(FOUND[10])
 @example(FOUND[11])
+@example(LONG_SUM)  # over 39 s when each term was merged into the sum in turn
 def test_cli_fuzz_in_process(argv):
     start = time.perf_counter()
     code, _, err = run_cli(*argv)

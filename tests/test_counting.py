@@ -385,10 +385,13 @@ def _reference(n, u: float) -> float:
 def test_eval_at_takes_a_cancelling_rational_sum_in_decimal():
     """With rational exponents a sum that cancels is taken on the lattice v = u^(1/L)
     in decimal, within 1e-13 of a 200-digit reference (floats gave -1.9e-3 for
-    (u^(1/2) - 1)^40 at 1.5, whose value is 1.17e-26); an exact zero on the
-    lattice, which no precision resolves, is refused within the digit budget."""
+    (u^(1/2) - 1)^40 at 1.5, whose value is 1.17e-26, and 5.1514e-13 for the
+    5.1177e-13 of (u^(1/4) - 1)^9, a value below 1); a zero on the lattice reads 0.0
+    once the rounding bound is below 1e-13 of the least subnormal float, at a rational
+    root v = 2 and at the irrational v = sqrt(2) alike."""
     for text, u in [("(u^(1/2)-1)^40", 1.5), ("(u-4)^6*(u^(1/2)-3)^3", 2.340685),
-                    ("(u-4)^4*(u^(1/2)+3)^4", 4.703625), ("(2/3*u^(1/3)-1)^30*(u-1)", 3.3)]:
+                    ("(u-4)^4*(u^(1/2)+3)^4", 4.703625), ("(2/3*u^(1/3)-1)^30*(u-1)", 3.3),
+                    ("(u^(1/4)-1)^9", 1.1838082164714745)]:
         n = parse_expr(text)
         assert cf.eval_at(n, u) == pytest.approx(_reference(n, u), rel=1e-13, abs=0), text
     rng = random.Random(7)
@@ -397,11 +400,11 @@ def test_eval_at_takes_a_cancelling_rational_sum_in_decimal():
         c = F(rng.randint(1, 9), rng.randint(1, 4))
         n = parse_expr(f"(u^(1/{d})-{c})^{k}*(u+1)^{j}")
         u = rng.uniform(1.0001, 3.0)
-        # the float route, taken where eps sum |term| <= 1e-12 max(1, |N(u)|), is held to that
+        # the float route, taken where eps sum |term| <= 1e-12 |N(u)|, is held to that
         assert cf.eval_at(n, u) == pytest.approx(_reference(n, u), rel=1e-11, abs=1e-11), (n, u)
     start = time.perf_counter()
-    with pytest.raises(ParameterRangeError, match="digits"):
-        cf.eval_at(parse_expr("(u^(3/2)-2*u^(1/2))^7"), 2.0)  # sqrt(2)^7 (2 - 2)^7
+    assert cf.eval_at(parse_expr("(u^(3/2)-2*u^(1/2))^7"), 2.0) == 0.0  # sqrt(2)^7 (2 - 2)^7
+    assert cf.eval_at(parse_expr("u^(1/2)-2"), 4.0) == 0.0
     assert time.perf_counter() - start < 5.0
 
 

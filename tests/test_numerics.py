@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from fractions import Fraction as F
 from itertools import accumulate, islice
 
@@ -181,8 +182,9 @@ def test_integer_order_values_frozen():
         (4, 2.5): 23.999999999999773,
         (5, 0.4): -119.99999999999727, (5, 1.0): -119.99999999999636,
         (5, 2.5): -120.00000000005093,
-        (6, 0.4): 719.9999999998836, (6, 1.0): 719.9999999995489,
-        (6, 2.5): 720.0000000019791,
+        # past x = 0.4 the rounding bound of order -6 exceeds the default tolerance, so
+        # the sum is taken exactly
+        (6, 0.4): 719.9999999998836, (6, 1.0): 720.0, (6, 2.5): 720.0,
     }
     for (m, x), value in frozen.items():
         assert zeta_series(-m, -m, x) == complex(value), (m, x)
@@ -227,6 +229,40 @@ def test_zeta_series_exact_rational():
     assert zeta_series_exact(-2, 0, F(1, 2)) == 0
     assert zeta_series_exact(-1, 2, F(1)) == 1 - F(1, 4)
     assert zeta_series_exact(0, 5, F(3)) == F(3) ** -5
+
+
+def test_zeta_series_exact_refuses_powers_beyond_the_budget():
+    """Each (n + 3)^(10^7) has 16 to 26 Mbit, so the sum is refused before any power."""
+    with pytest.raises(ParameterRangeError, match="exact powers exceed 4194304 bits"):
+        zeta_series_exact(-3, -10 ** 7, 3)
+
+
+def test_terminating_sum_rounding_guard():
+    """A float sum of order k that cancels and may round past the tolerance is summed
+    exactly at a real integer w, and refused at any other w: floats gave -5.5412 for
+    the sum 0 below, 720.0000000019791 for 720, and 1.0253 against 0.0043768 at
+    w = 0.5.  A sum that does not cancel keeps its float value, however large its
+    terms or |w|."""
+    assert zeta_series(-53, -1, 3.0) == 0
+    assert zeta_series(-6, -6, 2.5) == 720.0
+    with pytest.raises(ConvergenceError, match="rounding in its 61 alternating terms"):
+        zeta_series(-60, 0.5, 1.0)
+    assert zeta_series(0, -2.5, 1e5) == 3162277660168.384  # one term, 1e5^2.5
+    assert zeta_series(-30, 1e300, 1.0) == 1.0  # the terms n >= 1 underflow
+    assert zeta_series(-1, -1e300, 5e-324) == -1.0  # 1 + 5e-324 rounds by 5e-324 only
+
+
+def test_terminating_sum_of_many_terms_ends_fast():
+    """Orders with up to the 300 000-term cap end in a refusal well within a second:
+    their float binomials leave the float range, and the exact sum counts its
+    coefficients' bits, up to (1 - k) (-k), before building any of them."""
+    start = time.perf_counter()
+    for r, w in [(-299999, 0), (-200000, -1)]:
+        with pytest.raises(ConvergenceError, match="float range"):
+            zeta_series(r, w, 1.0)
+    with pytest.raises(ParameterRangeError, match="300000 coefficients may exceed"):
+        zeta_series_exact(-299999, 0, 1)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_zeta_series_exact_validation():

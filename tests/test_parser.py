@@ -148,6 +148,14 @@ def test_minus_negates_exactly(case):
     ("(u+1)^(1/2)", 6),
     ("(u+1)^-1", 6),
     (f"(u+1)^{MAX_COMPOUND_EXPONENT + 1}", 6),
+    ("(u u", 3),
+    ("u^-u", 3),
+    ("u^(-u)", 4),
+    ("u^(u)", 3),
+    ("(u+1)^(-)", 8),
+    ("u^(1/2", 6),
+    ("1/", 2),
+    ("u^(1/2)(", 7),
 ])
 def test_rejections_carry_offsets(text, offset):
     with pytest.raises(ParseError) as exc:
@@ -166,6 +174,33 @@ def test_overlong_literal_is_a_positioned_parse_error(text, offset):
     with pytest.raises(ParseError) as exc:
         parse_expr(text)
     assert exc.value.offset == offset
+
+
+#: 600 signed terms c*u^(e) over 33 exponents, so that equal exponents add up.
+MIXED_TERMS = [(F(k % 11 - 5, k % 3 + 1), F((-1) ** k * (k % 7 + 1), k % 5 + 1))
+               for k in range(1, 601)]
+MIXED_SUM = "".join(f"{'-' if c < 0 else '+'}{abs(c)}*u^({e})" for e, c in MIXED_TERMS)
+LONG_SUM = "+".join(f"u^{k}" for k in range(1, 17773))  # 131 069 characters
+
+
+@pytest.mark.parametrize("text,terms", [
+    (MIXED_SUM, MIXED_TERMS),
+    (LONG_SUM, [(k, 1) for k in range(1, 17773)]),
+], ids=["mixed", "long"])
+def test_sum_merges_its_terms_once(monkeypatch, text, terms):
+    """A sum of k terms is added by one merge of all k, and equals the
+    normalized list of its terms."""
+    calls = []
+    merged = cf.CountingFunction.merged.__func__
+
+    def counted(cls, maps, descending, *fields):
+        calls.append(len(maps))
+        return merged(cls, maps, descending, *fields)
+
+    expected = cf.normalize(terms)
+    monkeypatch.setattr(cf.CountingFunction, "merged", classmethod(counted))
+    assert parse_expr(text) == expected
+    assert calls == [len(terms)]
 
 
 def test_nesting_cap():
@@ -216,7 +251,7 @@ def test_scheme_names(text, name):
 
 @pytest.mark.parametrize("text", [
     "", "  ", "sl(2)", "SL(2) extra", "SL", "SL()", "SL(-2)", "Gm^", "Gm^x",
-    "PGL(2)", "u^3 - u",
+    "PGL(2)", "u^3 - u", 42,
 ])
 def test_unknown_scheme_names(text):
     with pytest.raises(UnknownSchemeError):

@@ -158,12 +158,12 @@ def test_eval_hurwitz_exact():
 def test_eval_hurwitz_takes_a_cancelling_sum_exactly():
     """sum_k C(r, k) (-1)^(r - k) (s - k)^(-w) is an r-th difference, far below its
     terms; at a real integer w and a real s it is summed in Fractions of s and rounded
-    once (floats gave 3.3461e-3 for r = 40, w = 1, s = 41.5), unless its exact powers
-    pass MAX_PACKED_BITS bits."""
+    once (floats gave 3.3461e-3 for r = 40, w = 1, s = 41.5, and 3.46e-14 for the
+    4.883e-15 of r = 23, w = 3, s = 44.5), unless its exact powers pass MAX_PACKED_BITS bits."""
     def exact(r, w, s):
         return float(sum(F(math.comb(r, k) * (-1) ** (r - k)) * (F(s) - k) ** -w
                          for k in range(r + 1)))
-    for r, w, s in [(40, 1, 41.5), (40, -45, 41.5), (90, -95, 0.5), (40, 3, -0.5)]:
+    for r, w, s in [(40, 1, 41.5), (40, -45, 41.5), (90, -95, 0.5), (40, 3, -0.5), (23, 3, 44.5)]:
         assert eval_hurwitz(cf.tensor_power(cf.U_MINUS_ONE, r), w, s) == exact(r, w, s)
     with pytest.raises(ParameterRangeError, match="exact powers exceed 4194304 bits"):
         eval_hurwitz(cf.tensor_power(cf.U_MINUS_ONE, 90), -95, 5e-324)  # 2^-1074 in each base
