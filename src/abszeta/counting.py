@@ -12,19 +12,21 @@ exponent denominator L and a least multiplicity denominator M.  The
 operations run on those integers, and the ``Fraction`` pairs of ``terms``
 are built only when they are first read.  Products and powers run by
 Kronecker substitution when the exponents are dense (see
-:func:`tensor_product`): one big-integer multiply, read back byte by byte.
-Sparse ones, such as the square of ``u^1000 + u + 1``, are convolved term
-pair by term pair.
+:func:`tensor_product`): one big-integer multiply, whose slots are read back
+a machine word at a time by one ``memoryview`` cast (wider slots by one
+comprehension).  Sparse ones, such as the square of ``u^1000 + u + 1``, are
+convolved term pair by term pair.
 
 Two budgets bound the work and are checked before anything is
 multiplied.  :data:`MAX_PACKED_BITS` caps the bits of a packed result
 (its slots times their width) and of its common denominator; the pairs
 of a sparse product are charged the size of one packed product of equal
 Karatsuba cost.  :data:`MAX_TERM_PAIRS` caps the term pairs of a sparse
-product.  A product over either raises ParameterRangeError.  The largest
-packed power of u + 1, ``(u+1)^2046`` at 4.19 Mbit, takes 0.4 to 0.5 s
-on a shared 2-vCPU x86 host with Python 3.11, most of it in the one
-big-integer ``pow``.
+product.  A product over either raises ParameterRangeError.  The packed
+bits are charged at the slot width the coefficients need, before a slot is
+widened to a machine word.  The largest packed power of u + 1,
+``(u+1)^2046`` at 4.19 Mbit, takes 0.3 s on a shared 2-vCPU x86 host with
+Python 3.11, most of it in the one big-integer ``pow``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ MAX_TERM_PAIRS = 2 ** 17
 MAX_PACKED_BITS = 2 ** 22
 #: A factor is packed when it spans at most this many lattice slots per term.
 DENSE_SLOTS_PER_TERM = 8
+#: The byte order of a machine word, as ``memoryview.cast`` reads it.
+_WORD_ORDER = "little" if memoryview(b"\x01\x00").cast("H")[0] == 1 else "big"
 
 
 class TermMap(Record):
@@ -251,28 +255,28 @@ def _packed_product(powers: list[tuple[list[tuple[int, int]], int]],
     coefficient of slot j = (E - E_min) / step, and the product of those
     integers, read back w bytes at a time, holds the product's coefficients.
     Each is at most prod (sum |C|)^r < 2^(8 w - 1) in magnitude, so no slot
-    overflows; the slots are offset by 2^(8 w - 1) to read them unsigned."""
+    overflows; the slots are offset by 2^(8 w - 1) to read them unsigned.
+    The budget charges this w; a w of 3 or 5 to 7 is then widened to a machine
+    word if the budget still holds, and word slots are read by one cast."""
     bound_bits = sum([r * (sum([abs(c) for _, c in terms]) - 1).bit_length()
                       for terms, r in powers])
     width = (bound_bits + 9) // 8
     slots = sum([r * ((terms[0][0] - terms[-1][0]) // step) for terms, r in powers]) + 1
     _check_budget(slots * 8 * width, MAX_PACKED_BITS, "packed bits")
-    packed = 1
-    for terms, r in powers:
-        low = terms[-1][0]
-        coefficients = [0] * ((terms[0][0] - low) // step + 1)
-        for e, c in terms:
-            coefficients[(e - low) // step] = c
-        packed *= _pack(coefficients, width) ** r
-    lowest = sum([r * terms[-1][0] for terms, r in powers])
+    word = 1 << (width - 1).bit_length()
+    if word <= 8 and slots * 8 * word <= MAX_PACKED_BITS:
+        width = word
+    packed = math.prod([_pack(terms, step, width) ** r for terms, r in powers])
     half = 1 << (8 * width - 1)
-    data = (packed + _bias(slots, width)).to_bytes(slots * width, "little")
-    product = []
-    for j in range(slots - 1, -1, -1):
-        c = int.from_bytes(data[j * width:(j + 1) * width], "little") - half
-        if c:
-            product.append((lowest + step * j, c))
-    return product
+    data = (packed + _bias(slots, width)).to_bytes(slots * width, _WORD_ORDER)
+    if width in (1, 2, 4, 8):
+        read = memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width]).tolist()
+    else:
+        read = [int.from_bytes(data[i:i + width], _WORD_ORDER) for i in range(0, len(data), width)]
+    if _WORD_ORDER == "little":
+        read.reverse()  # the highest slot first
+    top = sum([r * terms[0][0] for terms, r in powers])
+    return [(top - step * j, c - half) for j, c in enumerate(read) if c != half]
 
 
 def _bias(slots: int, width: int) -> int:
@@ -280,7 +284,15 @@ def _bias(slots: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
 
 
-def _pack(coefficients: list[int], width: int) -> int:
+def _pack(terms: list[tuple[int, int]], step: int, width: int) -> int:
+    """sum C 2^(8 width (E - E_min) / step) over the terms: by shifts for one or
+    two terms, else by a byte join, whose memory stays linear in the slots."""
+    low = terms[-1][0]
+    if len(terms) <= 2:
+        return sum([c << (8 * width * ((e - low) // step)) for e, c in terms])
+    coefficients = [0] * ((terms[0][0] - low) // step + 1)
+    for e, c in terms:
+        coefficients[(e - low) // step] = c
     half = 1 << (8 * width - 1)
     data = b"".join([(c + half).to_bytes(width, "little") for c in coefficients])
     return int.from_bytes(data, "little") - _bias(len(coefficients), width)

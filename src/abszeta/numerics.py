@@ -298,7 +298,11 @@ def zeta_series(r, w, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> complex
 
 
 def zeta_series_exact(r: int, w: int, x) -> Fraction:
-    """Terminating series in exact rational arithmetic (integer order r <= 0)."""
+    """Terminating series in exact rational arithmetic (integer order r <= 0).
+
+    x is an int, a ``Fraction`` or a rational string (see :func:`as_rational`);
+    a float raises TypeError by design, since the sum is exact only in exact
+    data: pass ``Fraction(x)`` to sum at the float's exact value."""
     k = _integer_order(r)
     if k is None or k > 0:
         raise DomainError(f"exact summation needs an integer order <= 0, got {r!r}")

@@ -20,8 +20,9 @@ import warnings
 from fractions import Fraction
 from typing import Iterable
 
-from .counting import CountingFunction, TermMap, cancels, exact_sum
-from .errors import BranchCutWarning, ConvergenceError, DomainError, PoleError, PreconditionError
+from .counting import MAX_PACKED_BITS, CountingFunction, TermMap, cancels, exact_sum
+from .errors import (BranchCutWarning, ConvergenceError, DomainError, ParameterRangeError,
+                     PoleError, PreconditionError)
 from .rationals import as_rational, qstr, signed_sum
 from .reports import Record
 
@@ -175,8 +176,10 @@ def eval_power_product(p: PowerProduct, s: complex) -> complex:
     negative real number (the principal branch is used regardless).  At a
     real point with integer exponents the value is real, with its sign
     counted exactly; a value beyond the float range raises DomainError.
-    The value is exp of sum e log(s - root): ConvergenceError when its
-    rounding, eps sum |e log(s - root)|, exceeds :data:`MAX_PRODUCT_ROUNDING`.
+    The value is exp of sum e log(s - root).  When its rounding,
+    eps sum |e log(s - root)|, exceeds :data:`MAX_PRODUCT_ROUNDING`, a real
+    s with integer exponents takes :func:`_decimal_log_sum`, and any other s
+    raises ConvergenceError.
     """
     s = _finite_complex(s, "argument s")
     den, mden = p.den, p.mden
@@ -201,14 +204,39 @@ def eval_power_product(p: PowerProduct, s: complex) -> complex:
             magnitude += abs(term)
         if zero_hit:
             return 0j
-        if sys.float_info.epsilon * magnitude > MAX_PRODUCT_ROUNDING:
+        if sys.float_info.epsilon * magnitude <= MAX_PRODUCT_ROUNDING:
+            value = complex(sign * math.exp(log_sum.real)) if real else cmath.exp(log_sum)
+        elif real:
+            value = complex(sign * _decimal_log_sum(p, Fraction(s.real), magnitude))
+        else:
             raise ConvergenceError(
                 f"the power product at s={s}: its log sum may be off by "
                 f"{sys.float_info.epsilon * magnitude:.2e}; for a gamma, use --method integral")
-        value = complex(sign * math.exp(log_sum.real)) if real else cmath.exp(log_sum)
     except OverflowError:
         value = complex(math.inf)
     return _finite_complex(value, f"the power product's value at s={s}")
+
+
+def _decimal_log_sum(p: PowerProduct, s: Fraction, magnitude: float) -> float:
+    """exp of sum e ln|s - root| over the integer exponents e, in decimal: each ln
+    is of the exact |s - root| rounded once, at p = 20 + log10 W digits,
+    W = (terms + 2) (magnitude + sum |e|), so that the sum rounds by at most
+    W 10^(1 - p) <= 1e-19, below MAX_PRODUCT_ROUNDING; ParameterRangeError once p
+    times the number of terms would pass MAX_PACKED_BITS log10 2 digits."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+    weight = (len(p.pairs) + 2) * (magnitude + sum([abs(e) for _, e in p.pairs]))
+    prec = 20 + math.ceil(math.log10(weight))
+    if prec * len(p.pairs) > MAX_PACKED_BITS * math.log10(2):
+        raise ParameterRangeError(
+            f"the power product at s={float(s)} cancels below float rounding, and its "
+            f"decimal log sum exceeds {MAX_PACKED_BITS * math.log10(2):.0f} digits")
+    # no traps: an exp beyond the float range reads inf or 0, as the float route's does
+    with localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
+        total = Decimal(0)
+        for r, e in p.pairs:
+            d = abs(s - Fraction(r, p.den))
+            total += e * (Decimal(d.numerator) / d.denominator).ln()
+        return float(total.exp())
 
 
 def _require_integer_exponents(p: PowerProduct, what: str) -> None:

@@ -26,6 +26,7 @@ import sys
 import time
 
 import jsonschema
+import mpmath
 import pytest
 
 import abszeta
@@ -245,6 +246,22 @@ def test_gamma_product_form_and_value():
     code, out, _ = run_cli("gamma", "--order", "-2", "--x", "1.5")
     assert code == 0
     assert float(out) == pytest.approx(2.5 ** 2 / (1.5 * 3.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("order,printed", [
+    ("-25", "1.0110726961389913"), ("-60", "1.0037372746965274")])
+def test_gamma_product_past_float_rounding_is_summed_in_decimal(order, printed):
+    """Both exited 4 while the product was taken in floats (its log sum off by
+    1.93e-08 and 8.77e+02); each now prints the 50-digit product, rounded once,
+    which the integral route prints too."""
+    assert run_cli("gamma", f"--order={order}", "--x", "1") == (0, printed + "\n", "")
+    k = -int(order)
+    with mpmath.workdps(50):
+        exact = mpmath.exp(mpmath.fsum((-1) ** (n + 1) * math.comb(k, n) * mpmath.log(1 + n)
+                                       for n in range(k + 1)))
+    assert float(printed) == float(exact)
+    assert run_cli("gamma", f"--order={order}", "--x", "1", "--method", "integral")[1] == (
+        printed + "\n")
 
 
 def test_gamma_default_method_for_fractional_order_is_series():
@@ -478,9 +495,11 @@ def test_golden_output(argv, code, out, err):
         ("gamma", f"--order=-{lit}"), ("sine", "--order=-1", "--periods", lit),
         ("check", "thm4", "--r", lit), ("check", "thm2", f"--r=-{lit}"),
         ("check", "fe", "--expr", "u-1", "--center", lit, "--sign", "1"))],
-    # integer-order gammas whose float routes cannot resolve the cancellation
-    *[(("gamma", f"--order={order}", "--x", "1", *method), 4)
-      for order in (-60, -100, -200) for method in ((), ("--method", "series"))],
+    # integer-order gammas whose alternating sums cancel: the default product
+    # route sums its logs in decimal, and the series route refuses in floats
+    *[(("gamma", f"--order={order}", "--x", "1", *method), code)
+      for order in (-60, -100, -200)
+      for method, code in (((), 0), (("--method", "series"), 4))],
     # the gamma integral needs a finite order
     (("gamma", "--order=-inf", "--x", "1", "--method", "integral"), 3),
 ])

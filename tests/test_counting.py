@@ -11,7 +11,9 @@ Claims covered:
   evaluation homomorphisms);
 - the integer kernel (packed when the exponent lattice is dense, term
   pairs when it is sparse) matches the dict convolution on byte-boundary
-  coefficients, sparse lattices, coprime denominators, one term and zero;
+  coefficients, sparse lattices, coprime denominators, one term and zero,
+  and in every slot width of 1 to 9 bytes, the sign bit tight included;
+  a factor of 150000 terms packs within the budget and in bounded time;
 - tensor powers expand (u-1)^r correctly, and powers of one-, two- and
   three-term bases, dense and sparse, agree with r - 1 repeated products;
 - both expansion budgets, packed bits and term pairs, refuse oversized
@@ -291,6 +293,73 @@ def test_largest_packed_power_of_u_plus_one():
     with pytest.raises(ParameterRangeError, match="4194304 packed bits"):
         cf.tensor_power(base, 2047)
     assert time.perf_counter() - start < 0.1
+
+
+def _dict_power_product(powers):
+    """Independent reference for integer_product: repeated dict convolution."""
+    acc = {0: 1}
+    for terms, r in powers:
+        for _ in range(r):
+            acc = oracle_otimes(acc.items(), terms)
+    return sorted(acc.items(), reverse=True)
+
+
+def _bound_bits(powers):
+    """The bits of the kernel's coefficient bound prod (sum |C|)^r."""
+    return sum(r * (sum(abs(c) for _, c in terms) - 1).bit_length() for terms, r in powers)
+
+
+@st.composite
+def slot_class_products(draw):
+    """Factor lists whose coefficient bound falls in a drawn slot width of 1 to 9
+    bytes, at its top 2^(8 w - 2) half the time, where the sign bit is tight: small
+    factors with negative coefficients and exponent gaps, and one factor of one or
+    two terms whose sum |C| is a power of two fills the bound up to the target."""
+    width = draw(st.integers(1, 9))
+    target = 8 * width - 2 if draw(st.booleans()) else draw(
+        st.integers(max(0, 8 * width - 9), 8 * width - 2))
+    gap = draw(st.sampled_from([1, 2, 3, 7]))
+    powers = []
+    for _ in range(draw(st.integers(0, 3))):
+        slots = sorted(set(draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))),
+                       reverse=True)
+        low = draw(st.integers(-20, 20))
+        terms = [(low + gap * s, draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))) for s in slots]
+        power = draw(st.integers(1, 5))
+        if _bound_bits(powers + [(terms, power)]) <= target:
+            powers.append((terms, power))
+    fill = target - _bound_bits(powers)
+    signs = st.sampled_from([1, -1])
+    if fill and draw(st.booleans()):  # a binomial with sum |C| = 2^fill
+        first = draw(st.integers(1, 2 ** fill - 1))
+        filler = [(gap * draw(st.integers(1, 6)), draw(signs) * first),
+                  (0, draw(signs) * (2 ** fill - first))]
+    else:
+        filler = [(gap * draw(st.integers(-6, 6)), draw(signs) * 2 ** fill)]
+    powers.insert(draw(st.integers(0, len(powers))), (filler, 1))
+    assert (_bound_bits(powers) + 9) // 8 == width  # the drawn slot class
+    return powers
+
+
+@settings(max_examples=300)
+@given(slot_class_products())
+def test_integer_product_in_every_slot_class(powers):
+    """1-, 2-, 4- and 8-byte slots (3 and 5 to 7 bytes widened to them) are read by
+    one cast, and 9-byte slots by int.from_bytes; each equals the dict convolution."""
+    assert cf.integer_product(powers) == _dict_power_product(powers)
+
+
+def test_a_long_factor_packs_by_bytes_within_the_budget():
+    """A = sum_{k<150000} u^k: its 3-byte slots fit MAX_PACKED_BITS and 4-byte ones
+    would not, so the product keeps 3-byte slots, read by int.from_bytes; its terms are
+    packed by one byte join, where a shift per term would build 150000 big integers."""
+    long = cf.normalize([(k, 1) for k in range(150000)])
+    assert 150000 * 8 * 3 <= cf.MAX_PACKED_BITS < 150000 * 8 * 4
+    start = time.perf_counter()
+    product = cf.otimes(long, cf.ONE)
+    assert time.perf_counter() - start < 1.0
+    # the integer map, which equality would compare through 150000 Fractions a side
+    assert (product.den, product.mden, product.pairs) == (long.den, long.mden, long.pairs)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.0, F(3, 2)])

@@ -2,7 +2,9 @@
 
 Claims covered:
 - the order -r series terminates and its gamma function is the finite
-  product prod (x+n)^((-1)^(n+1) C(r,n)) (oracle: direct float product),
+  product prod (x+n)^((-1)^(n+1) C(r,n)) (oracle: direct float product, and
+  mpmath at 50 digits for orders -1 to -60, correctly rounded where the
+  float log sum cancels and is taken in decimal),
   the zeta of the binomial Hurwitz form, which evaluates to its sum;
 - the companion sine function is exactly the constant 1, for unit
   periods and for arbitrary positive rational periods;
@@ -21,9 +23,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,8 +45,8 @@ from abszeta.gammasine import (
     neg_sine,
     tensor_power_fe_check,
 )
-from abszeta.symzeta import (eval_hurwitz, eval_power_product, hurwitz_str,
-                             normalize_power_product, reflection_defect, zeta_of)
+from abszeta.symzeta import (MAX_PRODUCT_ROUNDING, eval_hurwitz, eval_power_product,
+                             hurwitz_str, normalize_power_product, reflection_defect, zeta_of)
 
 period_lists = st.lists(
     st.fractions(min_value=F(1, 4), max_value=5, max_denominator=8),
@@ -84,6 +88,27 @@ def test_neg_gamma_matches_float_product_oracle(r):
     oracle = math.prod((x + n) ** ((-1) ** (n + 1) * math.comb(r, n))
                        for n in range(r + 1))
     assert eval_power_product(neg_gamma(r), x) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.3, 0.5, 1.0, 3.0])
+def test_neg_gamma_product_meets_a_50_digit_oracle(x):
+    """Orders -1 to -60 come within MAX_PRODUCT_ROUNDING of mpmath's 50-digit
+    product; where the float log sum may round past that bound, eps sum |e log(x + n)|,
+    and is taken in decimal instead (orders -21 to -60 at these x), they are its
+    correctly rounded value."""
+    decimal = 0
+    for r in range(1, 61):
+        with mpmath.workdps(50):
+            exact = mpmath.exp(mpmath.fsum((-1) ** (n + 1) * math.comb(r, n)
+                                           * mpmath.log(mpmath.mpf(x) + n) for n in range(r + 1)))
+        value = eval_power_product(neg_gamma(r), x)
+        assert value.imag == 0
+        assert abs(value.real - exact) <= MAX_PRODUCT_ROUNDING * exact, (r, x)
+        rounding = sum(math.comb(r, n) * abs(math.log(x + n)) for n in range(r + 1))
+        if sys.float_info.epsilon * rounding > MAX_PRODUCT_ROUNDING:
+            assert value.real == float(exact), (r, x)
+            decimal += 1
+    assert decimal == 40
 
 
 @pytest.mark.parametrize("r", range(1, 8))

@@ -231,6 +231,14 @@ def test_zeta_series_exact_rational():
     assert zeta_series_exact(0, 5, F(3)) == F(3) ** -5
 
 
+def test_zeta_series_exact_refuses_a_float_x():
+    """By design: the sum is exact only in exact data, so a float x raises TypeError
+    and the caller passes Fraction(x), its exact value."""
+    with pytest.raises(TypeError, match="got float"):
+        zeta_series_exact(-3, 0, 1e300)
+    assert zeta_series_exact(-3, 0, F(1e300)) == 0
+
+
 def test_zeta_series_exact_refuses_powers_beyond_the_budget():
     """Each (n + 3)^(10^7) has 16 to 26 Mbit, so the sum is refused before any power."""
     with pytest.raises(ParameterRangeError, match="exact powers exceed 4194304 bits"):

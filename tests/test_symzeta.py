@@ -11,6 +11,9 @@ Claims covered:
   poles/zeros (a Hurwitz term at its shift is 0 for Re w < 0 and 1 at
   w = 0), warns on branch-cut evaluation, and refuses a term whose phase
   w log(s - a) is lost in rounding; the zeta's value is exp of the Hurwitz form's w-derivative at 0;
+- a power product whose float log sum rounds past MAX_PRODUCT_ROUNDING is
+  summed in decimal at a real point with integer exponents, within a digit
+  budget, and refused elsewhere;
 - reflection across a center produces the factor map of P(c-s), and the
   functional-equation verdict and mismatch triples match a brute-force
   factor comparison;
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 import warnings
 from fractions import Fraction as F
 
@@ -123,6 +127,25 @@ def test_eval_power_product_pole_and_zero():
     with pytest.raises(PoleError):
         eval_power_product(z, 3.0)
     assert eval_power_product(z, 1.0) == 0
+
+
+def test_eval_power_product_past_float_rounding():
+    """A log sum whose float rounding passes MAX_PRODUCT_ROUNDING is summed in decimal
+    at a real point with integer exponents: (s - 1)^(10^12) / s^(10^12) at s = 2 is
+    2^-10^12, below the float range, so 0.0.  Past MAX_PACKED_BITS log10 2 digits of
+    precision times terms it is refused, before any decimal log; a complex point or
+    a non-integer exponent is refused as before."""
+    big = 10 ** 12
+    assert eval_power_product(normalize_power_product([(0, -big), (1, big)]), 2.0) == 0
+    many = normalize_power_product([(-k, (-1) ** k * 10 ** 6) for k in range(60000)])
+    start = time.perf_counter()
+    with pytest.raises(ParameterRangeError, match="digits"):
+        eval_power_product(many, 0.5)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ConvergenceError, match="log sum"):
+        eval_power_product(normalize_power_product([(0, -big), (1, big)]), 2.0 + 1e-3j)
+    with pytest.raises(ConvergenceError, match="log sum"):
+        eval_power_product(normalize_power_product([(0, -big), (1, F(big + 1, 2))]), 2.0)
 
 
 def test_eval_power_product_branch_cut_warns():
