@@ -57,8 +57,9 @@ class TermMap(Record):
     sorted, no C zero, den and mden least (so gcd(mden, every C) = 1).
 
     A subclass names the map's ``Fraction`` pairs as its first field, built
-    on first read and kept, and its other fields after; equality, hashing,
-    repr and pickling are those of :class:`Record` on these fields.
+    on first read and kept, and its other fields after.  Equality compares
+    den, mden, pairs and the other fields, which decide the view, so it builds
+    none; hashing, repr and pickling are those of :class:`Record`.
     """
 
     __slots__ = ("den", "mden", "pairs")
@@ -73,6 +74,14 @@ class TermMap(Record):
     def _fill(self, names: tuple, *values) -> None:
         for name, value in zip(TermMap.__slots__ + names, values):
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = TermMap.__slots__ + self.__slots__[1:]
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    __hash__ = Record.__hash__  # an __eq__ of its own would leave the class unhashable
 
     def __getattr__(self, name):  # reached only while a slot is unset
         if name != self.__slots__[0]:

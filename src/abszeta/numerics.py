@@ -12,11 +12,12 @@ summation converges far too slowly for tight tolerances (reaching 1e-6
 absolute accuracy at r = -1/2 would need on the order of 1e12 terms), so
 partial sums are taken at geometrically spaced checkpoints N, 2N, 4N, ...
 and the power-law tail c * N^(r - w) * (1 + a1/N + a2/N^2 + ...) is
-removed by repeated Richardson-style elimination.  The log-weighted sums
-behind the gamma function have tails of the form N^r * (a log N + b) per
-power of 1/N, which the same scheme handles by eliminating each power
-twice.  Every accelerated value carries an internal error estimate
-(obtained by re-running the elimination without the finest checkpoint).
+removed by repeated Richardson-style elimination, one tableau grown by a
+diagonal per checkpoint.  The log-weighted sums behind the gamma function
+have tails of the form N^r * (a log N + b) per power of 1/N, which the same
+scheme handles by eliminating each power twice.  Every accelerated value
+carries an internal error estimate: its distance from the previous
+checkpoint's value, the last entry of the tableau's previous diagonal.
 
 The terms are streamed in plain Python floats, so memory stays
 proportional to the number of checkpoints and the module needs nothing
@@ -99,56 +100,25 @@ def _integer_order(r) -> int | None:
     return None
 
 
-def _exact_coefficients(r: Fraction):
-    """C(r + n - 1, n) for n = 0, 1, ... exactly, by the recurrence
-    H_0 = 1, H_n = H_{n-1} * (r + n - 1) / n."""
-    return accumulate(count(1), lambda h, n: h * Fraction(r + n - 1, n), initial=Fraction(1))
+def _binomials(k: int):
+    """C(n + k - 1, n) for n = 0, 1, ... as integers at an integer order k <= 0, by
+    C_0 = 1, C_n = C_(n-1) (k + n - 1) // n; they vanish past n = -k.  Lazy, so that a
+    caller can stop at the first coefficient it cannot use."""
+    return accumulate(count(1), lambda c, n: c * (k + n - 1) // n, initial=1)
 
 
 def _checkpoints(max_terms: int) -> list[int]:
-    """Geometric checkpoints 64, 128, ... capped by max_terms."""
-    base = 64
-    if max_terms < 2 * base:
-        return [max_terms]
-    cps = []
-    n = base
-    while n <= max_terms:
-        cps.append(n)
-        n *= 2
-    return cps
-
-
-def _accelerate(partials, theta, log_tail: bool = False):
-    """Richardson-style tail elimination on doubling checkpoints.
-
-    partials[j] is the partial sum at N_j = N_0 * 2^j and behaves like
-    S - N_j^(-theta) * (c_0 + c_1/N_j + ...), each coefficient optionally
-    multiplied by an affine function of log N_j.  One pass with factor
-    f = 2^(theta + i) cancels the pure power N^(-theta - i); a log factor
-    needs the same pass twice.
-    """
-    values = list(partials)
-    stage = 0
-    uses_at_stage = 0
-    per_stage = 2 if log_tail else 1
-    while len(values) > 1:
-        f = 2.0 ** (theta + stage)
-        values = [(f * values[j + 1] - values[j]) / (f - 1.0)
-                  for j in range(len(values) - 1)]
-        uses_at_stage += 1
-        if uses_at_stage == per_stage:
-            stage += 1
-            uses_at_stage = 0
-    return values[0]
+    """Geometric checkpoints 64, 128, ... up to max_terms."""
+    return [64 << j for j in range((max_terms // 64).bit_length())]
 
 
 def _partial_sums(r: float, x: float, w, checkpoints: list[int]):
     """Yield the sum of C(n + r - 1, n) * weight(n + x) over n below each checkpoint.
 
     The weight is (n + x)^(-w) for a real or complex w, and log(n + x) when
-    w is None.  The coefficients follow the recurrence of
-    :func:`_exact_coefficients` in floats, and each weight has its own loop:
-    a real power or a log costs about half as much as a complex exponential.
+    w is None.  The coefficients follow H_0 = 1, H_n = H_(n-1) (r + n - 1) / n in
+    floats, and each weight has its own loop: a real power or a log costs about
+    half as much as a complex exponential.
     """
     log = math.log
     h = 1.0
@@ -182,13 +152,18 @@ def _partial_sums(r: float, x: float, w, checkpoints: list[int]):
 def _series_limit(r: float, x: float, w, cfg: SeriesSettings, what: str):
     """Stream the series of :func:`_partial_sums` and return its accelerated limit.
 
-    From the third checkpoint on, each checkpoint accelerates all partial
-    sums so far and estimates the error as 4 |full - drop| plus a rounding
-    floor of 1e-13 (1 + max |partial|), where drop leaves out the finest
-    partial sum.  The sum stops once two consecutive estimates meet the
-    tolerance; at the last checkpoint one is enough.  A ConvergenceError
-    reports an unmet tolerance, a non-finite partial sum, or a term or
-    elimination factor beyond the float range.
+    The partial sum at N_j = 64 * 2^j behaves like S - N_j^(-theta) (c_0 + c_1/N_j + ...),
+    each c_i optionally times an affine function of log N_j.  Richardson elimination with
+    f_i = 2^(theta + i) cancels the pure power N^(-theta - i); a log factor needs each f_i
+    twice, f_i = 2^(theta + i // 2).  One diagonal of the tableau is kept: a partial sum p
+    grows the next, row[0] = p, row[i + 1] = (f_i row[i] - diagonal[i]) / (f_i - 1), and
+    full is its last entry.  Nothing is eliminated before the first estimate, at the third
+    checkpoint, so that a non-finite partial sum up to there is reported as such.
+
+    Each estimate is 4 |full - drop| + 1e-13 (1 + max |partial|), drop the previous
+    checkpoint's full.  The sum stops once two consecutive estimates meet the tolerance;
+    at the last checkpoint one is enough.  A ConvergenceError reports an unmet tolerance,
+    a non-finite partial sum, or a term or elimination factor beyond the float range.
     """
     cps = _checkpoints(cfg.max_terms)
     if len(cps) < 2:
@@ -196,19 +171,23 @@ def _series_limit(r: float, x: float, w, cfg: SeriesSettings, what: str):
             f"{what}: too few terms allowed for tail elimination; raise max_terms")
     log_tail = w is None
     theta = -r if log_tail else w - r
-    partials = []
-    met = False
+    diagonal, waiting, full, top, met = [], [], None, 0.0, False
     try:
-        for partial in _partial_sums(r, x, w, cps):
+        for j, partial in enumerate(_partial_sums(r, x, w, cps), 1):
             if not cmath.isfinite(partial):
                 raise ConvergenceError(f"{what}: the partial sums left the float range")
-            partials.append(partial)
-            last = len(partials) == len(cps)
-            if len(partials) < 3 and not last:
+            waiting.append(partial)
+            last = j == len(cps)
+            if j < 3 and not last:
                 continue
-            full = _accelerate(partials, theta, log_tail)
-            drop = _accelerate(partials[:-1], theta, log_tail)
-            est = 4.0 * abs(full - drop) + 1e-13 * (1.0 + max(map(abs, partials)))
+            for p in waiting:
+                row = [p]
+                for i, previous in enumerate(diagonal):
+                    f = 2.0 ** (theta + (i // 2 if log_tail else i))
+                    row.append((f * row[i] - previous) / (f - 1.0))
+                diagonal, drop, full, top = row, full, row[-1], max(top, abs(p))
+            waiting.clear()
+            est = 4.0 * abs(full - drop) + 1e-13 * (1.0 + top)
             if est <= cfg.tol and (met or last):
                 return full
             met = est <= cfg.tol
@@ -235,8 +214,8 @@ def _terminating_sum(k: int, x: float, w, cfg: SeriesSettings):
     hint = "; use --method integral" if w is None else ""
     try:
         total = next(_partial_sums(float(k), x, w, [1 - k]))
-        moduli = [math.comb(-k, n) * (abs(math.log(n + x)) if w is None else (n + x) ** -w.real)
-                  for n in range(1 - k)]
+        moduli = [abs(c) * (abs(math.log(n + x)) if w is None else (n + x) ** -w.real)
+                  for n, c in zip(range(1 - k), _binomials(k))]
         size, tail = sum(moduli), sum(moduli[1:])
         weighted = 2.0 * size if w is None else (
             4.0 * size + (abs(w) * min(0.5, x / sys.float_info.epsilon) * tail if tail else 0.0))
@@ -316,9 +295,7 @@ def zeta_series_exact(r: int, w: int, x) -> Fraction:
     if (1 - k) * -k > MAX_PACKED_BITS:  # |C(n + k - 1, n)| <= 2^-k, counted before any is built
         raise ParameterRangeError(
             f"{what}, and its {1 - k} coefficients may exceed {MAX_PACKED_BITS} bits")
-    return exact_sum([(h, n + x, -w) for n, h in zip(range(-k + 1),
-                                                      _exact_coefficients(Fraction(k)))],
-                     1, what)
+    return exact_sum([(c, n + x, -w) for n, c in zip(range(1 - k), _binomials(k))], 1, what)
 
 
 def gamma_series(r, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:

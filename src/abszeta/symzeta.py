@@ -134,7 +134,9 @@ def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
     at s = a the term is 0 for Re w < 0, 1 at w = 0, else a PoleError.  At a real s - a < 0
     a real integer w takes (-1)^w |s - a|^(-w); else ConvergenceError when a finite phase
     w log(s - a) rounds by more than MAX_PRODUCT_ROUNDING.  At a real integer w and a real
-    s, a sum that ``counting.cancels`` is taken in Fractions of s by ``counting.exact_sum``."""
+    s, a sum that ``counting.cancels`` is taken in Fractions of s by ``counting.exact_sum``;
+    at any other real w and real s, ConvergenceError when its rounding, eps sum |term|,
+    exceeds MAX_PRODUCT_ROUNDING |sum|."""
     w = _finite_complex(w, "order w")
     s = _finite_complex(s, "argument s")
     integer_w = w.imag == 0 and w.real.is_integer()
@@ -157,11 +159,16 @@ def eval_hurwitz(n: CountingFunction, w: complex, s: complex) -> complex:
             else:
                 raise PoleError(f"evaluation point {s} coincides with shift {qstr(a, den)}")
             total, size = total + term, size + abs(term)
-        if integer_w and s.imag == 0 and cancels(size, total):
+        real, rounding = w.imag == 0 and s.imag == 0, sys.float_info.epsilon * size
+        if real and integer_w and cancels(size, total):
             exact_s, k = Fraction(s.real), -int(w.real)
             total = complex(exact_sum([(m, exact_s - Fraction(a, den), k) for a, m in n.pairs],
                                       mden, f"the Hurwitz form at w={w}, s={s} cancels below "
                                       "float rounding"))
+        elif real and rounding > MAX_PRODUCT_ROUNDING * abs(total):
+            raise ConvergenceError(f"the Hurwitz form at w={w}, s={s} cancels: its rounding may "
+                                   f"reach {rounding:.2e}, above {MAX_PRODUCT_ROUNDING:.0e} of "
+                                   f"its value {abs(total):.2e}")
     except (OverflowError, ValueError):  # ValueError: cmath.exp of an infinite exponent
         total = complex(math.inf)
     return _finite_complex(total, f"the Hurwitz form's value at w={w}, s={s}")

@@ -240,6 +240,17 @@ def test_hurwitz_refuses_a_phase_lost_in_rounding():
     assert run_cli("hurwitz", "--expr", "u-1", "--w", "1e300", "--s", "3") == (0, "0.0\n", "")
 
 
+def test_hurwitz_refuses_a_real_sum_lost_in_rounding():
+    """At a real non-integer w and a real s, a sum whose rounding passes 1e-9 of its
+    value exits 4: (u - 1)^40 at w = 0.5, s = 41.5 printed 0.0010010047167224034,
+    3.3e-3 off the 60-digit value.  (u - 1)^12 at s = 13.5 keeps its value."""
+    code, out, err = run_cli("hurwitz", "--expr", "(u-1)^40", "--w", "0.5", "--s", "41.5")
+    assert (code, out) == (4, "")
+    assert "cancels: its rounding may reach" in err
+    assert run_cli("hurwitz", "--expr", "(u-1)^12", "--w", "0.5", "--s", "13.5") == (
+        0, "0.006731371417147747\n", "")
+
+
 def test_gamma_product_form_and_value():
     code, out, _ = run_cli("gamma", "--order", "-2")
     assert (code, out) == (0, "(x+2)^-1 * (x+1)^2 * x^-1\n")

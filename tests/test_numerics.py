@@ -11,7 +11,11 @@ libm lgamma) serve as additional independent anchors.
 Claims covered:
 - generalized binomial coefficients: exact values, termination for
   negative integer order, the n^(r-1) envelope, the float recurrence of
-  the series loops equal bit for bit to a scalar loop;
+  the series loops equal bit for bit to a scalar loop, all against a
+  Fraction recurrence kept in this module;
+- the engine's bits: values and refusal messages of the accelerated series
+  at two tolerances and two term caps, of terminating sums of orders -11 to
+  -1000 and of exact terminating sums, frozen with repr;
 - zeta series: terminating exact path, accelerated path vs FROZEN
   values, agreement with the classical Hurwitz routine at order 1,
   conjugate symmetry in w, honest ConvergenceError when starved;
@@ -54,7 +58,7 @@ import cmath
 import math
 import time
 from fractions import Fraction as F
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 
 import mpmath
 import pytest
@@ -71,7 +75,6 @@ from abszeta.numerics import (
     MAX_SERIES_TERMS,
     SeriesSettings,
     _checkpoints,
-    _exact_coefficients,
     binomial_identity_sum,
     classical_hurwitz,
     euler_reflection_check,
@@ -119,9 +122,16 @@ HURWITZ_ORACLE = {
 # ---------------------------------------------------------------------------
 # generalized binomial coefficients
 
+def _binomials(r: F):
+    """C(r + n - 1, n) for n = 0, 1, ... at any rational order r, by the Fraction
+    recurrence H_0 = 1, H_n = H_(n-1) (r + n - 1) / n: an oracle that shares no code
+    with the engine's float and integer recurrences."""
+    return accumulate(count(1), lambda h, n: h * (r + n - 1) / n, initial=F(1))
+
+
 def _coefficient(r, n: int) -> F:
     """C(r + n - 1, n), the coefficient of the n-th term at order r, exactly."""
-    return next(islice(_exact_coefficients(F(r)), n, None))
+    return next(islice(_binomials(F(r)), n, None))
 
 
 def _unit_weight_sums(r: float, count: int) -> list[float]:
@@ -150,7 +160,7 @@ def test_gen_binom_negative_integer_order_terminates():
 
 
 def test_gen_binom_float_matches_exact():
-    exact = list(accumulate(islice(_exact_coefficients(F(-5, 2)), 41)))
+    exact = list(accumulate(islice(_binomials(F(-5, 2)), 41)))
     for got, want in zip(_unit_weight_sums(-2.5, 41), exact):
         assert got == pytest.approx(float(want), rel=1e-13, abs=1e-18)
 
@@ -510,6 +520,125 @@ def test_last_checkpoint_accepts_a_single_estimate(r):
 def test_series_beyond_the_float_range_raise_convergence_error(call):
     with pytest.raises(ConvergenceError):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the engine's bits, frozen
+
+#: Values and refusals of the series engine at tolerances 1e-6 and 1e-9 and term caps
+#: 128 and the default, and of terminating sums of orders -11 to -1000, printed with
+#: repr; the tail elimination and the binomial recurrences must reproduce each bit
+#: and each message.  Key: (function, arguments, tol, max_terms); a string is the
+#: message of the ConvergenceError the call raises.
+PINNED = {
+    ('zeta_series', (-0.5, 2.0, 1.0), 1e-06, 128):
+        'series of order -0.5 at w=(2+0j), x=1.0: estimated error 1.38e-05 exceeds tolerance '
+        '1.00e-06; raise max_terms or loosen the tolerance',
+    ('zeta_series', (-2.5, 3.0, 2.0), 1e-06, 128): (0.05897363543049068+0j),
+    ('zeta_series', (-1.3, (1.5+2j), 0.7), 1e-06, 128):
+        'series of order -1.3 at w=(1.5+2j), x=0.7: estimated error 3.15e-06 exceeds '
+        'tolerance 1.00e-06; raise max_terms or loosen the tolerance',
+    ('gamma_series', (-0.5, 1.0), 1e-06, 128):
+        'gamma series of order -0.5 at x=1.0: estimated error 1.28e+00 exceeds tolerance '
+        '1.00e-06; raise max_terms or loosen the tolerance',
+    ('gamma_series', (-2.5, 1.0), 1e-06, 128):
+        'gamma series of order -2.5 at x=1.0: estimated error 2.46e-04 exceeds tolerance '
+        '1.00e-06; raise max_terms or loosen the tolerance',
+    ('vanishing_check', (-1.5, -1, 0.5), 1e-06, 128):
+        'series of order -1.5 at w=(-1+0j), x=0.5: estimated error 4.39e-01 exceeds tolerance'
+        ' 1.00e-06; raise max_terms or loosen the tolerance',
+    ('vanishing_check', (-3.7, -2, 1.3), 1e-06, 128):
+        'series of order -3.7 at w=(-2+0j), x=1.3: estimated error 9.28e-03 exceeds tolerance'
+        ' 1.00e-06; raise max_terms or loosen the tolerance',
+    ('zeta_series', (-0.5, 2.0, 1.0), 1e-06, 300000): (0.8535815370311836+0j),
+    ('zeta_series', (-2.5, 3.0, 2.0), 1e-06, 300000): (0.058973635430496774+0j),
+    ('zeta_series', (-1.3, (1.5+2j), 0.7), 1e-06, 300000):
+        (0.9787756256234673+1.5867948160198933j),
+    ('gamma_series', (-0.5, 1.0), 1e-06, 300000): 4.959982653907274,
+    ('gamma_series', (-2.5, 1.0), 1e-06, 300000): 1.2404148999363256,
+    ('vanishing_check', (-1.5, -1, 0.5), 1e-06, 300000): 1.8251015918798353e-13,
+    ('vanishing_check', (-3.7, -2, 1.3), 1e-06, 300000): 1.5497737578793277e-14,
+    ('zeta_series', (-0.5, 2.0, 1.0), 1e-09, 128):
+        'series of order -0.5 at w=(2+0j), x=1.0: estimated error 1.38e-05 exceeds tolerance '
+        '1.00e-09; raise max_terms or loosen the tolerance',
+    ('zeta_series', (-2.5, 3.0, 2.0), 1e-09, 128): (0.05897363543049068+0j),
+    ('zeta_series', (-1.3, (1.5+2j), 0.7), 1e-09, 128):
+        'series of order -1.3 at w=(1.5+2j), x=0.7: estimated error 3.15e-06 exceeds '
+        'tolerance 1.00e-09; raise max_terms or loosen the tolerance',
+    ('gamma_series', (-0.5, 1.0), 1e-09, 128):
+        'gamma series of order -0.5 at x=1.0: estimated error 1.28e+00 exceeds tolerance '
+        '1.00e-09; raise max_terms or loosen the tolerance',
+    ('gamma_series', (-2.5, 1.0), 1e-09, 128):
+        'gamma series of order -2.5 at x=1.0: estimated error 2.46e-04 exceeds tolerance '
+        '1.00e-09; raise max_terms or loosen the tolerance',
+    ('vanishing_check', (-1.5, -1, 0.5), 1e-09, 128):
+        'series of order -1.5 at w=(-1+0j), x=0.5: estimated error 4.39e-01 exceeds tolerance'
+        ' 1.00e-09; raise max_terms or loosen the tolerance',
+    ('vanishing_check', (-3.7, -2, 1.3), 1e-09, 128):
+        'series of order -3.7 at w=(-2+0j), x=1.3: estimated error 9.28e-03 exceeds tolerance'
+        ' 1.00e-09; raise max_terms or loosen the tolerance',
+    ('zeta_series', (-0.5, 2.0, 1.0), 1e-09, 300000): (0.8535815370311848+0j),
+    ('zeta_series', (-2.5, 3.0, 2.0), 1e-09, 300000): (0.058973635430496774+0j),
+    ('zeta_series', (-1.3, (1.5+2j), 0.7), 1e-09, 300000): (0.978775625623468+1.5867948160198926j),
+    ('gamma_series', (-0.5, 1.0), 1e-09, 300000): 4.9599826539817915,
+    ('gamma_series', (-2.5, 1.0), 1e-09, 300000): 1.2404148999470415,
+    ('vanishing_check', (-1.5, -1, 0.5), 1e-09, 300000): 5.404010902337276e-16,
+    ('vanishing_check', (-3.7, -2, 1.3), 1e-09, 300000): 3.214540857625819e-15,
+    ('zeta_series', (-11, 2.0, 1.0), 1e-09, 300000): (0.2586008898508903+0j),
+    ('zeta_series', (-11, (0.5+1j), 2.0), 1e-09, 300000):
+        (-0.00037719939019331683+0.008192190029126162j),
+    ('zeta_series', (-12, -12.0, 0.4), 1e-09, 300000): (479001600+0j),
+    ('zeta_series', (-12, 1.5, 3.0), 1e-09, 300000): (0.0011011325755366543+0j),
+    ('gamma_series', (-11, 1.5), 1e-09, 300000): 1.009361068887142,
+    ('gamma_series', (-12, 0.7), 1e-09, 300000): 1.0702649854499084,
+    ('zeta_series', (-60, -3.0, 1.0), 1e-09, 300000): 0j,
+    ('zeta_series', (-60, 2.0, 0.5), 1e-09, 300000): (1.3813476469308594+0j),
+    ('gamma_series', (-60, 1.0), 1e-09, 300000):
+        'terminating sum of order -60 at x=1.0: rounding in its 61 alternating terms may '
+        'reach 1.75e+03, above the tolerance 1.00e-09; use --method integral',
+    ('zeta_series', (-1000, 2.0, 1.0), 1e-09, 300000): (0.007478990870678668+0j),
+    ('zeta_series', (-1000, 0.5, 1.0), 1e-09, 300000):
+        'terminating sum of order -1000 at x=1.0: rounding in its 1001 alternating terms may '
+        'reach 4.52e+284, above the tolerance 1.00e-09',
+    ('gamma_series', (-1000, 1.0), 1e-09, 300000):
+        'terminating sum of order -1000 at x=1.0: rounding in its 1001 alternating terms may '
+        'reach 2.96e+286, above the tolerance 1.00e-09; use --method integral',
+    ('zeta_series', (-60, 0.5, 1.0), 1e-09, 300000):
+        'terminating sum of order -60 at x=1.0: rounding in its 61 alternating terms may '
+        'reach 1.97e+02, above the tolerance 1.00e-09',
+    ('vanishing_check', (-10.5, -10, 0.5), 1e-09, 300000):
+        'series of order -10.5 at w=(-10+0j), x=0.5: estimated error 1.61e-07 exceeds '
+        'tolerance 1.00e-09; raise max_terms or loosen the tolerance',
+    ('zeta_series', (-0.5, 2.0, 1.0), 1e-09, 127):
+        'series of order -0.5 at w=(2+0j), x=1.0: too few terms allowed for tail elimination;'
+        ' raise max_terms',
+}
+
+#: Exact terminating sums, printed with repr.
+PINNED_EXACT = {
+    (-11, 2, "1"): F(86021, 332640),
+    (-12, -3, "5/2"): F(0),
+    (-12, -12, "2/5"): F(479001600),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED), ids=str)
+def test_series_engine_bits_pinned(key):
+    name, args, tol, max_terms = key
+    call = {"zeta_series": zeta_series, "gamma_series": gamma_series,
+            "vanishing_check": vanishing_check}[name]
+    cfg = SeriesSettings(tol=tol, max_terms=max_terms)
+    if isinstance(PINNED[key], str):
+        with pytest.raises(ConvergenceError) as info:
+            call(*args, cfg)
+        assert str(info.value) == PINNED[key]
+    else:
+        assert call(*args, cfg) == PINNED[key]
+
+
+@pytest.mark.parametrize("key", list(PINNED_EXACT), ids=str)
+def test_exact_terminating_sums_pinned(key):
+    assert zeta_series_exact(*key) == PINNED_EXACT[key]
 
 
 # ---------------------------------------------------------------------------

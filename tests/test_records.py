@@ -10,6 +10,7 @@ Claims covered, for every public record:
 - the validation done at construction raises the same errors as before;
 - counting functions and power products built by the integer route, whose
   Fraction view is built on first read, keep all of the above, and pickle;
+  comparing two of them builds neither view;
 - the exact functional-equation path builds a few Fractions however many
   terms its maps have.
 """
@@ -118,6 +119,21 @@ def test_integer_route_value_semantics(build, fields):
             setattr(a, name, None)
     assert getattr(a, cls.__slots__[0]) == fields[0]
     assert all(type(x) is F for pair in getattr(build(), cls.__slots__[0]) for x in pair)
+
+
+@pytest.mark.parametrize("build,fields", INTEGER_ROUTE, ids=[
+    "tensor_power", "parse_expr", "counting_of", "zeta_of", "zeta_of_scheme",
+    "multiperiod_gamma", "neg_sine"])
+def test_integer_route_equality_builds_no_view(build, fields):
+    """The integer fields decide equality, so == leaves the view slot unset."""
+    a, b = build(), build()
+    view = type(a).__slots__[0]
+    assert a == b and not a != b
+    half = type(a).from_pairs(a.den, 2 * a.mden, a.pairs, *fields[1:])  # each value halved
+    assert (a != half) == bool(a.pairs)
+    for record in (a, b, half):
+        with pytest.raises(AttributeError):
+            object.__getattribute__(record, view)
 
 
 def _scheme_fe_holds(spec) -> bool:

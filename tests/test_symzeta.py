@@ -10,7 +10,9 @@ Claims covered:
   taken in Fractions of s, within the packed-bit budget), raises at
   poles/zeros (a Hurwitz term at its shift is 0 for Re w < 0 and 1 at
   w = 0), warns on branch-cut evaluation, and refuses a term whose phase
-  w log(s - a) is lost in rounding; the zeta's value is exp of the Hurwitz form's w-derivative at 0;
+  w log(s - a) is lost in rounding, or, at a real non-integer w and a real s, a sum
+  whose rounding passes MAX_PRODUCT_ROUNDING of its value; the zeta's value is exp of
+  the Hurwitz form's w-derivative at 0;
 - a power product whose float log sum rounds past MAX_PRODUCT_ROUNDING is
   summed in decimal at a real point with integer exponents, within a digit
   budget, and refused elsewhere;
@@ -28,6 +30,7 @@ import time
 import warnings
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,6 +193,20 @@ def test_eval_hurwitz_takes_a_cancelling_sum_exactly():
         assert eval_hurwitz(cf.tensor_power(cf.U_MINUS_ONE, r), w, s) == exact(r, w, s)
     with pytest.raises(ParameterRangeError, match="exact powers exceed 4194304 bits"):
         eval_hurwitz(cf.tensor_power(cf.U_MINUS_ONE, 90), -95, 5e-324)  # 2^-1074 in each base
+
+
+def test_eval_hurwitz_refuses_a_real_sum_lost_in_rounding():
+    """At a real non-integer w and a real s, eps sum |term| above MAX_PRODUCT_ROUNDING
+    |sum| raises: floats gave 1.0010e-3 for (u - 1)^40 at w = 1/2, s = 41.5, where the
+    sum is 1.00433e-3.  (u - 1)^12 at s = 13.5 keeps its float value, 6.2e-12 off."""
+    with pytest.raises(ConvergenceError, match="cancels: its rounding may reach"):
+        eval_hurwitz(cf.tensor_power(cf.U_MINUS_ONE, 40), 0.5, 41.5)
+    with mpmath.workdps(60):
+        exact = mpmath.fsum(math.comb(12, k) * (-1) ** k * (mpmath.mpf(13.5) - k) ** -0.5
+                            for k in range(13))
+    value = eval_hurwitz(cf.tensor_power(cf.U_MINUS_ONE, 12), 0.5, 13.5)
+    assert value == 0.006731371417147747
+    assert abs(value - exact) < 1e-11
 
 
 def test_eval_hurwitz_at_a_shift():
