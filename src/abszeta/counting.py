@@ -8,9 +8,10 @@ terms sorted by descending exponent, zero multiplicities dropped.
 
 Every term map of the package (counting functions here, power products in
 ``symzeta``) is a :class:`TermMap`: integer pairs (E, C) over a least
-exponent denominator L and a least multiplicity denominator M.  The
-operations run on those integers, and the ``Fraction`` pairs of ``terms``
-are built only when they are first read.  Products and powers run by
+exponent denominator L and a least multiplicity denominator M, stored
+once.  The operations, equality, hashing, copying and pickling run on
+those integers; the ``Fraction`` pairs of ``terms`` are a property, built
+from them on each read.  Products and powers run by
 Kronecker substitution when the exponents are dense (see
 :func:`tensor_product`): one big-integer multiply, whose slots are read back
 a machine word at a time by one ``memoryview`` cast (wider slots by one
@@ -53,44 +54,28 @@ _WORD_ORDER = "little" if memoryview(b"\x01\x00").cast("H")[0] == 1 else "big"
 
 class TermMap(Record):
     """A finite rational map held as integers: the key E / den and the value
-    C / mden for each pair (E, C) of the list ``pairs``, keys distinct and
+    C / mden for each pair (E, C) of the tuple ``pairs``, keys distinct and
     sorted, no C zero, den and mden least (so gcd(mden, every C) = 1).
 
-    A subclass names the map's ``Fraction`` pairs as its first field, built
-    on first read and kept, and its other fields after.  Equality compares
-    den, mden, pairs and the other fields, which decide the view, so it builds
-    none; hashing, repr and pickling are those of :class:`Record`.
+    A subclass stores den, mden, pairs and its other fields in ``__slots__``
+    and names its constructor's fields in ``__match_args__``, the map's
+    ``Fraction`` pairs first: a property that :meth:`_view` builds on each
+    read.  :class:`Record`'s equality, hash, copy and pickle see only the slots.
     """
 
-    __slots__ = ("den", "mden", "pairs")
+    __slots__ = ()
 
     def __init__(self, view, *fields):
         den = math.lcm(*[k.denominator for k, _ in view])
         mden = math.lcm(*[v.denominator for _, v in view])
-        self._fill(self.__slots__, den, mden, [(k.numerator * (den // k.denominator),
-                                                v.numerator * (mden // v.denominator))
-                                               for k, v in view], view, *fields)
+        super().__init__(den, mden, tuple([(k.numerator * (den // k.denominator),
+                                            v.numerator * (mden // v.denominator))
+                                           for k, v in view]), *fields)
 
-    def _fill(self, names: tuple, *values) -> None:
-        for name, value in zip(TermMap.__slots__ + names, values):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        names = TermMap.__slots__ + self.__slots__[1:]
-        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
-
-    __hash__ = Record.__hash__  # an __eq__ of its own would leave the class unhashable
-
-    def __getattr__(self, name):  # reached only while a slot is unset
-        if name != self.__slots__[0]:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _view(self) -> tuple[tuple[Fraction, Fraction], ...]:
         den, mden = self.den, self.mden  # Fraction(v) skips the gcd of Fraction(v, 1)
-        view = tuple([(Fraction(e) if den == 1 else Fraction(e, den),
+        return tuple([(Fraction(e) if den == 1 else Fraction(e, den),
                        Fraction(c) if mden == 1 else Fraction(c, mden)) for e, c in self.pairs])
-        object.__setattr__(self, name, view)
-        return view
 
     @classmethod
     def from_pairs(cls, den: int, mden: int, pairs: list[tuple[int, int]], *fields):
@@ -99,9 +84,7 @@ class TermMap(Record):
         g, h = _divisor(den, pairs, 0), _divisor(mden, pairs, 1)
         if g > 1 or h > 1:
             pairs = [(e // g, c // h) for e, c in pairs]
-        record = cls.__new__(cls)
-        record._fill(cls.__slots__[1:], den // g, mden // h, pairs, *fields)
-        return record
+        return cls._restored(den // g, mden // h, tuple(pairs), *fields)
 
     @classmethod
     def merged(cls, maps: list["TermMap"], descending: bool, *fields):
@@ -140,10 +123,13 @@ class CountingFunction(TermMap):
     ordering and absence of zero multiplicities.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "mden", "pairs")
+    __match_args__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[Fraction, Fraction], ...]):
         super().__init__(terms)
+
+    terms = property(TermMap._view, doc="The (exponent, multiplicity) pairs as Fractions.")
 
     def is_zero(self) -> bool:
         return not self.pairs

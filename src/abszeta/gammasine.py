@@ -17,8 +17,9 @@ over the distinct sums, never by listing the 2^r subsets.  The sums are
 integers over a common denominator L of the periods, and both sine
 functions are one pass over them: the reflection maps the sum t to
 L|w| - t (``symzeta.reflection_defect``, as for functional equations).
-A :class:`PeriodVector` holds L and its integer steps, and the products
-hold the surviving sums as integer pairs; no Fraction is built for them.
+A :class:`PeriodVector` stores only L and its integer steps, its
+``periods`` a Fraction view built on read, and the products hold the
+surviving sums as integer pairs; no Fraction is built for them.
 
 Two budgets bound the work: :data:`MAX_PERIODS` periods (the rank budget,
 shared with the catalog), and :data:`MAX_SUBSET_STEPS` steps of the
@@ -48,17 +49,13 @@ MAX_PERIODS = 722
 MAX_SUBSET_STEPS = MAX_PERIODS * (MAX_PERIODS + 1)
 
 
-class _Steps(Record):
-    """The integer steps L * w_j of periods w_j over their least common denominator L."""
+class PeriodVector(Record):
+    """Nonempty tuple of positive rational periods, stored as their integer
+    ``steps`` over their least common denominator ``den``; ``periods``
+    reads them back as Fractions."""
 
     __slots__ = ("den", "steps")
-
-
-class PeriodVector(_Steps):
-    """Nonempty tuple of positive rational periods, held also as ``steps``
-    over ``den``."""
-
-    __slots__ = ("periods",)
+    __match_args__ = ("periods",)
 
     def __init__(self, periods: tuple[Fraction, ...]):
         periods = tuple([as_rational(p) for p in periods])
@@ -70,15 +67,17 @@ class PeriodVector(_Steps):
             if p <= 0:
                 raise ParameterRangeError(f"periods must be positive, got {qstr(p)}")
         den = math.lcm(*[p.denominator for p in periods])
-        steps = [p.numerator * (den // p.denominator) for p in periods]
-        for name, value in (("periods", periods), ("den", den), ("steps", steps)):
-            object.__setattr__(self, name, value)
+        steps = tuple([p.numerator * (den // p.denominator) for p in periods])
+        super().__init__(den, steps)
         # the subset sums are multiples of gcd(steps) in [0, sum(steps)]
         sums = min(2 ** len(steps), sum(steps) // math.gcd(*steps) + 1)
         if len(steps) * sums > MAX_SUBSET_STEPS:
             raise ParameterRangeError(
                 f"{len(steps)} periods with up to {sums} distinct subset sums exceed the "
                 f"budget of {MAX_SUBSET_STEPS} subset-sum steps")
+
+    periods = property(lambda self: tuple([Fraction(s, self.den) for s in self.steps]),
+                       doc="The periods as Fractions.")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -87,7 +86,7 @@ class PeriodVector(_Steps):
         return Fraction(sum(self.steps), self.den)
 
     def __str__(self) -> str:
-        return "(" + ",".join(qstr(p) for p in self.periods) + ")"
+        return "(" + ",".join(qstr(s, self.den) for s in self.steps) + ")"
 
 
 def as_period_vector(periods: Iterable[object] | PeriodVector) -> PeriodVector:

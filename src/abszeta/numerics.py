@@ -254,19 +254,21 @@ def _require_resolvable_phase(w: complex, x: float, n_max: int, cfg: SeriesSetti
 def zeta_series(r, w, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> complex:
     """zeta_r(w; x) = sum C(n + r - 1, n) (n + x)^(-w) for finite x > 0.
 
-    Integer order r <= 0 uses the terminating sum (any w) within the
-    max_terms cap.  Otherwise the series requires Re(w) > r and is summed
-    with tail elimination; a ConvergenceError reports an unmet tolerance,
-    or an |Im w| so large that the phases of the terms are below it.
+    Integer order r <= 0 uses the terminating sum (any finite w) within the
+    max_terms cap.  Otherwise the series requires a finite r and Re(w) > r and
+    is summed with tail elimination; a ConvergenceError reports an unmet
+    tolerance, or an |Im w| so large that the phases of the terms are below it.
     """
     x = _finite_positive(x, "series")
     w = complex(w)
     k = _integer_order(r)
     terminating = k is not None and k <= 0
+    rf = 0.0 if terminating else float(r)
+    if not (cmath.isfinite(w) and math.isfinite(rf)):
+        raise DomainError(f"series needs a finite order and w, got order {r!r}, w={w}")
     _require_resolvable_phase(w, x, min(-k, cfg.max_terms) if terminating else cfg.max_terms, cfg)
     if terminating:
         return _terminating_sum(k, x, w, cfg)
-    rf = float(r)
     theta = w - rf
     if not theta.real > 0.0:
         raise DomainError(
@@ -313,8 +315,8 @@ def gamma_series(r, x: float, cfg: SeriesSettings = DEFAULT_SERIES) -> float:
             raise DomainError(f"order must be negative, got {r!r}")
         return _exp_log_gamma(-_terminating_sum(k, x, None, cfg), k, x)
     rf = float(r)
-    if not rf < 0.0:
-        raise DomainError(f"order must be negative, got {r!r}")
+    if not (rf < 0.0 and math.isfinite(rf)):
+        raise DomainError(f"order must be negative and finite, got {r!r}")
     weighted = _series_limit(rf, x, None, cfg, what=f"gamma series of order {rf} at x={x}")
     return _exp_log_gamma(-weighted, rf, x)
 

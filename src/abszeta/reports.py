@@ -8,12 +8,12 @@ class Record:
     """Frozen value record on plain ``__slots__``, with nothing generated at
     import time (a CLI process imports every record class).
 
-    A subclass lists its fields in ``__slots__``, in order, and sets them in
-    ``__init__`` (the default takes them all positionally) through
-    ``object.__setattr__``.  Records are equal when they are of one class
-    with equal fields, the hash is that of the field tuple, the repr is
-    ``Name(field=value, ...)``, and assigning or deleting an attribute
-    raises AttributeError.
+    A subclass lists its stored fields in ``__slots__``, in order, and sets
+    them in ``__init__`` (the default takes them all positionally) through
+    ``object.__setattr__``.  Equality (within one class), hash, copy and
+    pickle run on the stored fields; assigning or deleting an attribute
+    raises AttributeError.  The repr is ``Name(field=value, ...)`` over the
+    constructor's fields: ``__match_args__`` where the class names them.
     """
 
     __slots__ = ()
@@ -21,6 +21,12 @@ class Record:
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _restored(cls, *values):  # the record of its stored fields, unchecked
+        record = cls.__new__(cls)
+        Record.__init__(record, *values)
+        return record
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -34,7 +40,8 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        names = getattr(self, "__match_args__", self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -44,7 +51,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self._restored, self._values()
 
 
 class CheckReport(Record):

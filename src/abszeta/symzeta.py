@@ -53,10 +53,13 @@ class PowerProduct(TermMap):
     (R, C) hold the roots R / den and the exponents C / mden.
     """
 
-    __slots__ = ("factors", "variable")
+    __slots__ = ("den", "mden", "pairs", "variable")
+    __match_args__ = ("factors", "variable")
 
     def __init__(self, factors: tuple[tuple[Fraction, Fraction], ...], variable: str = "s"):
         super().__init__(factors, variable)
+
+    factors = property(TermMap._view, doc="The (root, exponent) pairs as Fractions.")
 
     def factor_map(self) -> dict[Fraction, Fraction]:
         return dict(self.factors)
@@ -73,7 +76,9 @@ class PowerProduct(TermMap):
     def shifted(self, d, variable: str | None = None) -> "PowerProduct":
         """Substitute variable -> variable - d, i.e. move every root up by d."""
         d = as_rational(d)
-        return normalize_power_product(((r + d, e) for r, e in self.factors),
+        den = math.lcm(self.den, d.denominator)
+        k, t = den // self.den, d.numerator * (den // d.denominator)
+        return PowerProduct.from_pairs(den, self.mden, [(r * k + t, e) for r, e in self.pairs],
                                        variable if variable is not None else self.variable)
 
     def __str__(self) -> str:

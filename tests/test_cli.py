@@ -513,6 +513,11 @@ def test_golden_output(argv, code, out, err):
       for method, code in (((), 0), (("--method", "series"), 4))],
     # the gamma integral needs a finite order
     (("gamma", "--order=-inf", "--x", "1", "--method", "integral"), 3),
+    # and so does the gamma series, the default route of a non-integer order
+    (("gamma", "--order=-inf", "--x", "1"), 3),
+    (("gamma", "--order=inf", "--x", "1"), 3),
+    (("gamma", "--order=nan", "--x", "1"), 3),
+    (("gamma", "--order=-inf", "--x", "1", "--method", "series"), 3),
 ])
 def test_exit_codes(argv, code):
     start = time.perf_counter()

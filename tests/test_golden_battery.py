@@ -15,7 +15,12 @@ every Hurwitz form in ``--json``, terminating gamma series, three more
 integrals) were written by the code before the Hurwitz form became the
 counting function itself.  So any change in printed output fails here.
 Only stdout and the exit code are recorded: the wording of budget errors
-on stderr may change.  To rewrite the file after an intended output change:
+on stderr may change.  To replay the rows without pytest (on any supported
+Python), reporting each mismatched row and exiting nonzero if there is one:
+
+    PYTHONPATH=src python tests/test_golden_battery.py --check
+
+To rewrite the file after an intended output change:
 
     PYTHONPATH=src python tests/test_golden_battery.py --write
 """
@@ -25,8 +30,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-
-import pytest
 
 from conftest import run_cli
 
@@ -168,16 +171,41 @@ def test_battery_matches_recorded_invocations():
     assert len(RECORDS) >= 400
 
 
-@pytest.mark.parametrize("record", RECORDS,
-                         ids=[f"{i}:{' '.join(r['argv'])[:60]}" for i, r in enumerate(RECORDS)])
+def pytest_generate_tests(metafunc):
+    """One test per recorded row; parametrized here so that the module imports
+    without pytest for the replay below."""
+    if "record" in metafunc.fixturenames:
+        metafunc.parametrize("record", RECORDS, ids=[
+            f"{i}:{' '.join(r['argv'])[:60]}" for i, r in enumerate(RECORDS)])
+
+
 def test_golden_battery(record):
     code, out, _err = run_cli(*record["argv"])
     assert (code, out) == (record["exit"], record["stdout"])
 
 
+def _check() -> int:
+    """Replay every recorded row, print each one whose exit code or stdout differs,
+    and return the number of mismatches."""
+    mismatches = 0
+    if [r["argv"] for r in RECORDS] != _battery():
+        print("the recorded rows are not the battery's invocations")
+        mismatches += 1
+    for i, record in enumerate(RECORDS):
+        code, out, _err = run_cli(*record["argv"])
+        if (code, out) != (record["exit"], record["stdout"]):
+            print(f"row {i}: {' '.join(record['argv'])}: exit {code} (recorded "
+                  f"{record['exit']}), stdout {'differs' if out != record['stdout'] else 'matches'}")
+            mismatches += 1
+    print(f"{sys.version.split()[0]}: {len(RECORDS)} rows, {mismatches} mismatched")
+    return mismatches
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(1 if _check() else 0)
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden_battery.py --write")
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_battery.py --check | --write")
     with open(GOLDEN, "w") as f:
         json.dump(_record(), f, indent=0, ensure_ascii=True)
         f.write("\n")

@@ -25,9 +25,9 @@ Claims covered:
   ConvergenceError, the last checkpoint still accepts one estimate, and
   the term budget and float overflow end in package errors, on the
   terminating path too;
-- the series routes and the gamma integral refuse a non-finite x, and
-  the zeta series refuses an |Im w| whose phases fall below the
-  tolerance;
+- the series routes and the gamma integral refuse a non-finite x, the
+  series routes a non-finite order or w, and the zeta series refuses an
+  |Im w| whose phases fall below the tolerance;
 - gamma via series, via integral, and via the exact product all agree;
 - kernel quadrature matches closed forms; log-zeta integral matches the
   log of the factored product; the gamma and log-zeta integrals keep the
@@ -342,6 +342,34 @@ def test_series_routes_need_a_finite_point(x):
                  lambda: vanishing_check(-0.5, 0, x), lambda: gamma_integral(-0.5, x)):
         with pytest.raises(DomainError, match="finite x > 0"):
             call()
+
+
+def test_series_routes_refuse_a_non_finite_order_or_w():
+    """Refused up front with DomainError, whose message names the values at
+    fault, before any term is summed."""
+    inf, nan = math.inf, math.nan
+    cases = [
+        (lambda: zeta_series(-0.5, complex(inf, 0), 1.0),
+         "series needs a finite order and w, got order -0.5, w=(inf+0j)"),
+        (lambda: zeta_series(-0.5, complex(2, nan), 1.0),
+         "series needs a finite order and w, got order -0.5, w=(2+nanj)"),
+        (lambda: zeta_series(-2, -inf, 1.0),
+         "series needs a finite order and w, got order -2, w=(-inf+0j)"),
+        (lambda: zeta_series(nan, 1, 1.0),
+         "series needs a finite order and w, got order nan, w=(1+0j)"),
+        (lambda: zeta_series(-inf, 1, 1.0),
+         "series needs a finite order and w, got order -inf, w=(1+0j)"),
+        (lambda: zeta_series(inf, 1, 1.0),
+         "series needs a finite order and w, got order inf, w=(1+0j)"),
+        (lambda: vanishing_check(-inf, -1, 1.0),
+         "series needs a finite order and w, got order -inf, w=(-1+0j)"),
+        (lambda: gamma_series(-inf, 1.0), "order must be negative and finite, got -inf"),
+        (lambda: gamma_series(nan, 1.0), "order must be negative and finite, got nan"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_zeta_series_refuses_unresolvable_phases():

@@ -2,15 +2,18 @@
 
 Claims covered, for every public record:
 - equal field values compare equal and hash equal, the hash being that of
-  the field tuple in order; records of different classes are never equal,
-  even with equal field values;
+  the stored field tuple (``__slots__``) in order; records of different
+  classes are never equal, even with equal field values;
 - positional and keyword construction agree, and defaults apply;
 - assigning or deleting an attribute raises AttributeError;
-- the repr is ``Name(field=value, ...)``, field by field;
+- the repr is ``Name(field=value, ...)``, constructor field by field;
 - the validation done at construction raises the same errors as before;
-- counting functions and power products built by the integer route, whose
-  Fraction view is built on first read, keep all of the above, and pickle;
-  comparing two of them builds neither view;
+- counting functions, power products and period vectors store only their
+  integers, and ``terms``, ``factors`` and ``periods`` are Fraction views
+  built from them on each read; those built by the integer route keep all
+  of the above, and pickle;
+- comparing, hashing, copying and pickling a term map builds no view, even
+  one of 150 000 terms;
 - the exact functional-equation path builds a few Fractions however many
   terms its maps have.
 """
@@ -63,7 +66,7 @@ IDS = [row[0].__name__ for row in RECORDS]
 def test_value_semantics(cls, args, kwargs, text):
     a, b = cls(*args), cls(**kwargs)
     assert a == b and not a != b
-    assert hash(a) == hash(b) == hash(tuple(kwargs.values()))
+    assert hash(a) == hash(b) == hash(tuple(getattr(a, name) for name in cls.__slots__))
     assert tuple(getattr(a, name) for name in kwargs) == tuple(kwargs.values())
     assert repr(a) == repr(b) == text
     assert a != object() and a != tuple(kwargs.values())
@@ -83,8 +86,8 @@ def test_immutable(cls, args, kwargs, text):
     assert a == cls(**kwargs)
 
 
-#: Counting functions and power products built on integers, with the fields
-#: their Fraction view must read back.
+#: Counting functions and power products built on integers, with the
+#: constructor fields (``__match_args__``) their Fraction view must read back.
 INTEGER_ROUTE = [
     (lambda: az.tensor_power(az.U_MINUS_ONE, 2), (((F(2), F(1)), (F(1), F(-2)), (F(0), F(1))),)),
     (lambda: az.parse_expr("(1/2*u^(1/2) - 1/3)^2"),
@@ -103,37 +106,64 @@ INTEGER_ROUTE = [
     "tensor_power", "parse_expr", "counting_of", "zeta_of", "zeta_of_scheme",
     "multiperiod_gamma", "neg_sine"])
 def test_integer_route_value_semantics(build, fields):
-    """Each check starts from a fresh instance, whose view is not built yet."""
+    """Each check starts from a fresh instance."""
     cls = type(build())
     expected = cls(*fields)
     assert build() == expected and expected == build() and build() == build()
-    assert hash(build()) == hash(fields) == hash(expected)
+    a = build()
+    assert hash(a) == hash((a.den, a.mden, a.pairs) + fields[1:]) == hash(expected)
     assert repr(build()) == repr(expected)
-    assert tuple(getattr(build(), name) for name in cls.__slots__) == fields
+    assert tuple(getattr(build(), name) for name in cls.__match_args__) == fields
     for clone in (copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))):
         twin = clone(build())
         assert type(twin) is cls and twin == expected and twin.pairs == expected.pairs
     a = build()
-    for name in ("den", "pairs", cls.__slots__[0]):
+    view = cls.__match_args__[0]
+    for name in ("den", "pairs", view):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(a, name, None)
-    assert getattr(a, cls.__slots__[0]) == fields[0]
-    assert all(type(x) is F for pair in getattr(build(), cls.__slots__[0]) for x in pair)
+    assert getattr(a, view) == fields[0] and type(getattr(a, view)) is tuple
+    assert all(type(x) is F for pair in getattr(build(), view) for x in pair)
+
+
+def _count_fractions(monkeypatch) -> list:
+    """The argument tuples of every Fraction built from here on."""
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    return built
 
 
 @pytest.mark.parametrize("build,fields", INTEGER_ROUTE, ids=[
     "tensor_power", "parse_expr", "counting_of", "zeta_of", "zeta_of_scheme",
     "multiperiod_gamma", "neg_sine"])
-def test_integer_route_equality_builds_no_view(build, fields):
-    """The integer fields decide equality, so == leaves the view slot unset."""
+def test_integer_route_equality_builds_no_view(monkeypatch, build, fields):
+    """The integer fields decide equality and the hash, so neither builds a Fraction."""
     a, b = build(), build()
-    view = type(a).__slots__[0]
-    assert a == b and not a != b
     half = type(a).from_pairs(a.den, 2 * a.mden, a.pairs, *fields[1:])  # each value halved
+    built = _count_fractions(monkeypatch)
+    assert a == b and not a != b and hash(a) == hash(b)
     assert (a != half) == bool(a.pairs)
-    for record in (a, b, half):
-        with pytest.raises(AttributeError):
-            object.__getattribute__(record, view)
+    assert built == []
+
+
+def test_large_map_value_semantics_build_no_view(monkeypatch):
+    """hash, ==, copy, deepcopy and pickle of a fresh 150 000-term map run on its
+    integers: not one Fraction is built, and each copy is an equal map."""
+    terms = 150_000
+    a = az.CountingFunction.from_pairs(1, 1, [(k, 1) for k in range(terms - 1, -1, -1)])
+    b = az.CountingFunction.from_pairs(1, 1, list(a.pairs))
+    built = _count_fractions(monkeypatch)
+    assert hash(a) == hash(b) == hash((1, 1, a.pairs))
+    assert a == b and not a != b
+    twins = [copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
+    assert built == []
+    for twin in twins:
+        assert type(twin) is az.CountingFunction and twin == a and len(twin.pairs) == terms
 
 
 def _scheme_fe_holds(spec) -> bool:
@@ -149,13 +179,7 @@ def _scheme_fe_holds(spec) -> bool:
 def test_exact_fe_path_builds_a_few_fractions(monkeypatch, run):
     """The maps stay integer from the expansion to the verdict: the center is
     the one Fraction, however many terms the map has."""
-    built = []
-    new = F.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    built = _count_fractions(monkeypatch)
     assert run()
     assert len(built) <= 2, built
 

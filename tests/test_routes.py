@@ -19,7 +19,15 @@ Claims covered:
   the integral (``gamma_integral``) and the exact product (``neg_gamma``,
   evaluated by ``eval_power_product``), meet pairwise only in :data:`ALLOWED`
   and :data:`GAMMA_ALLOWED`, and each entry of the latter is still met;
-- the gate sees a route that calls a helper of the other.
+- the two routes of log zeta(s) for a counting function, the integral
+  (``log_zeta_integral``) and the factored product (``zeta_of``, evaluated
+  by ``eval_power_product``), meet only in :data:`LOG_ZETA_ALLOWED`, which
+  is exactly what their input, a ``CountingFunction``, reaches;
+- the gate sees a route that calls a helper of the other;
+- the cross-checks see each route: criterion 08 fails when the gamma series,
+  integral or product is off by a relative 1e-5, 1e-5 or 1e-7, and
+  criterion 09's log-zeta check when the integral's log is off by 1e-6 or
+  the product's value by a relative 1e-6.
 """
 
 from __future__ import annotations
@@ -28,7 +36,10 @@ import ast
 import os
 from itertools import combinations
 
+import pytest
+
 import abszeta
+import test_acceptance
 
 SRC = os.path.dirname(abszeta.__file__)
 
@@ -54,6 +65,32 @@ GAMMA_ROUTES = {
     "series": [("numerics", "gamma_series")],
     "integral": [("numerics", "gamma_integral")],
     "product": [("gammasine", "neg_gamma"), ("symzeta", "eval_power_product")],
+}
+
+#: The roots of each route of log zeta(s) at a real s for a counting function.
+LOG_ZETA_ROUTES = {
+    "integral": [("numerics", "log_zeta_integral")],
+    "product": [("symzeta", "zeta_of"), ("symzeta", "eval_power_product")],
+}
+
+#: The counting algebra behind the operators + * - and ** of a CountingFunction.
+_ALGEBRA = ("oplus", "otimes", "tensor_power", "tensor_product", "_power", "integer_product",
+            "_lattice_step", "_dense", "_packed_product", "_pack", "_bias", "_sparse_product",
+            "_convolve", "_bits", "_check_budget", "MAX_PACKED_BITS", "MAX_TERM_PAIRS",
+            "DENSE_SLOTS_PER_TERM", "_WORD_ORDER", "ZERO")
+
+#: What the log-zeta routes may share beyond :data:`ALLOWED`: their input N, a
+#: CountingFunction, and what its class reaches, which only stores, reads, prints or
+#: combines N, so it proves nothing either way.
+LOG_ZETA_ALLOWED = {
+    ("counting", "CountingFunction"): "the input's class",
+    ("counting", "TermMap"): "the input's integer term map and its Fraction view",
+    ("counting", "_divisor"): "reduces the input's denominators in from_pairs",
+    ("rationals", "as_rational"): "coerces the input's rational data in TermMap.canonical",
+    ("counting", "_monomial"): "prints the input",
+    ("rationals", "qstr"): "prints the input",
+    ("rationals", "signed_sum"): "prints the input",
+    **{("counting", name): "the algebra behind the input's operators" for name in _ALGEBRA},
 }
 
 
@@ -146,6 +183,17 @@ def test_gamma_routes_meet_only_in_the_allow_list():
     assert met == GAMMA_ALLOWED.keys()  # no entry outlives its reason
 
 
+def test_log_zeta_routes_meet_only_in_their_input():
+    graph = call_graph(_package())
+    # the graph follows each route into its kernel
+    assert ("quadrature", "integrate") in reachable(graph, *LOG_ZETA_ROUTES["integral"])
+    assert ("symzeta", "_decimal_log_sum") in reachable(graph, *LOG_ZETA_ROUTES["product"])
+    assert shared(graph, *LOG_ZETA_ROUTES.values()) == LOG_ZETA_ALLOWED.keys()
+    # the list is what the input reaches, no more and no less
+    the_input = [("counting", "CountingFunction")]
+    assert shared(graph, the_input, the_input) == LOG_ZETA_ALLOWED.keys()
+
+
 def test_gate_sees_a_shared_helper():
     trees = {
         "errors": ast.parse("class ParameterRangeError(Exception): pass\n"),
@@ -165,3 +213,32 @@ def test_gate_sees_a_shared_helper():
         assert shared(graph, [("counting", "product")], [("gammasine", route)]) == {
             ("counting", "_bits")}
     assert not shared(graph, [("counting", "product")], [("gammasine", "apart")])
+
+
+def _off_by(fn, factor: float):
+    return lambda *args: fn(*args) * factor
+
+
+@pytest.mark.parametrize("route,factor,message", [
+    ("gamma_series", 1 + 1e-5, "rel 1.0"),
+    ("gamma_integral", 1 + 1e-5, "rel 1.0"),
+    ("eval_power_product", 1 + 1e-7, "rel 1.0"),
+])
+def test_criterion_08_refuses_a_perturbed_route(monkeypatch, route, factor, message):
+    """Each of the series, the integral and the product, off by a relative 10 times
+    the tolerance it is held to, fails the gamma cross-check."""
+    monkeypatch.setattr(test_acceptance, route, _off_by(getattr(test_acceptance, route), factor))
+    with pytest.raises(AssertionError, match=message):
+        test_acceptance.test_criterion_08_gamma_series_vs_integral_vs_product()
+
+
+@pytest.mark.parametrize("route,off", [
+    ("log_zeta_integral", lambda fn: lambda *args: fn(*args) + 1e-6),
+    ("eval_power_product", lambda fn: _off_by(fn, 1 + 1e-6)),
+])
+def test_log_zeta_check_refuses_a_perturbed_route(monkeypatch, route, off):
+    """The integral's log off by 1e-6, or the product's value by a relative 1e-6,
+    ten times the tolerance, fails criterion 09's log-zeta check at its first N."""
+    monkeypatch.setattr(test_acceptance, route, off(getattr(test_acceptance, route)))
+    with pytest.raises(AssertionError, match="N=u - 1: 1.0"):
+        test_acceptance.test_criterion_09_kernel_quadrature()
