@@ -12,11 +12,29 @@ the sine function of the matching negative order is trivial.
 The multi-period variant replaces the single step 1 by positive periods
 (w_1, ..., w_r); its gamma function is the alternating product of
 (x + sum of S) to the power (-1)^(|S|+1) over all subsets S of the
-periods, including the empty one.  It is built by a subset-sum recurrence
-over the distinct sums, never by listing the 2^r subsets.  The sums are
-integers over a common denominator L of the periods, and both sine
-functions are one pass over them: the reflection maps the sum t to
-L|w| - t (``symzeta.reflection_defect``, as for functional equations).
+periods, including the empty one.  The subsets are never listed.  The sums
+are integers t over a common denominator L of the periods, multiples of
+g, the gcd of the integer steps s_j = L w_j, and the exponent of (x + t)
+is the coefficient of z^(t / g) in -prod (1 - z^(s_j / g)).  That
+polynomial is one Python int of fixed-width biased slots, one per point of
+the lattice 0, g, ..., sum of the s_j: from P = -1, each period applies
+P -= P << (slot bits * s_j / g), r big-integer shifts and subtractions in
+all.  A slot holds r + 2 bits (an exponent is at most 2^r in magnitude),
+rounded up to a machine word of 1, 2, 4 or 8 bytes, which one
+``memoryview`` cast reads; wider slots are read by ``int.from_bytes``.
+
+Two conditions select it.  The gamma's map is read from P's slots where
+there are at most 2^r of them, the other bound on the distinct sums.  A
+sine, gamma(x)^(-1) gamma(-|w| - x)^((-1)^r), is the reflection defect of
+that map across t -> L|w| - t, and so is trivial iff P is (-1)^r-palindromic;
+the sine compares (-1)^r P with P's slots reversed wherever r times the
+slot count is within :data:`MAX_SUBSET_STEPS`, and returns the constant 1
+on agreement without reading a slot.  Otherwise, or on disagreement, the
+map comes from the subset-sum recurrence, one period at a time over the
+distinct sums (r times their number in steps), and the sine is its
+``symzeta.reflection_defect``, as for functional equations.  The recurrence
+stays because its work follows the distinct sums, not the lattice: periods
+1 and 10^9 have four sums on a lattice of 10^9 + 2 points.
 A :class:`PeriodVector` stores only L and its integer steps, its
 ``periods`` a Fraction view built on read, and the products hold the
 surviving sums as integer pairs; no Fraction is built for them.
@@ -158,12 +176,10 @@ def multiperiod_gamma(spec: MultiGammaSpec) -> PowerProduct:
 
     Each subset S of the periods contributes the factor
     (x + sum(S)) ^ ((-1)^(|S| + 1)); the empty subset contributes x^(-1).
-    The subsets are never listed: the exponents are gathered per root
-    -sum(S), folding in one period w at a time (a subset either leaves w
-    out, or takes it, which moves the root by -w and flips the sign), so
-    the work is r times the number of distinct subset sums.  The sums are
-    kept as integers over a common denominator of the periods.  With all
-    periods equal to 1 the subsets of equal size merge and this reduces
+    The subsets are never listed: the exponents per root -sum(S) are the
+    coefficients of -prod (1 - z^w) (see :func:`subset_sum_exponents`), the
+    sums kept as integers over a common denominator of the periods.  With
+    all periods equal to 1 the subsets of equal size merge and this reduces
     to :func:`neg_gamma`.
     """
     return _product(subset_sum_exponents(spec.periods.steps), spec.periods.den)
@@ -171,7 +187,26 @@ def multiperiod_gamma(spec: MultiGammaSpec) -> PowerProduct:
 
 def subset_sum_exponents(steps: Iterable[int]) -> dict[int, int]:
     """The map t -> sum of (-1)^(|S| + 1) over the subsets S of the integer
-    steps with sum t, the exponent of (x + t) in their gamma; zeros may stay."""
+    steps with sum t, the exponent of (x + t) in their gamma: the nonzero
+    slots of the packed polynomial where it has at most 2^r slots, else the
+    recurrence (a subset either leaves a step w out, or takes it, which moves
+    its sum by w and flips the sign), whose zeros may stay."""
+    steps = tuple(steps)
+    g = math.gcd(*steps)
+    slots = sum(steps) // g + 1
+    if slots <= 2 ** len(steps):
+        import sys  # the native byte order, in which memoryview.cast reads a word
+        packed, bias, width = _packed(steps, g, slots)
+        data = (packed + bias).to_bytes(slots * width, sys.byteorder)
+        if width <= 8:
+            read = memoryview(data).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width]).tolist()
+        else:
+            read = [int.from_bytes(data[i:i + width], sys.byteorder)
+                    for i in range(0, len(data), width)]
+        if sys.byteorder == "big":
+            read.reverse()  # the lowest slot first
+        half = 1 << (8 * width - 1)
+        return {g * t: c - half for t, c in enumerate(read) if c != half}
     exponents: dict[int, int] = {0: -1}
     for w in steps:
         taken = [(t + w, -e) for t, e in exponents.items() if e]
@@ -180,16 +215,44 @@ def subset_sum_exponents(steps: Iterable[int]) -> dict[int, int]:
     return exponents
 
 
+def _packed(steps: tuple[int, ...], g: int, slots: int) -> tuple[int, int, int]:
+    """(P, bias, width): P = -prod (1 - z^(s / g)) over the steps s at
+    z = 2^(8 width), whose slot t holds the exponent of (x + g t), and the
+    bias 2^(8 width - 1) in each of the slots.  An exponent is at most 2^r in
+    magnitude, so r + 2 bits hold it biased; width is that many bytes,
+    rounded up to 1, 2, 4 or 8 where that is at most 8."""
+    width = (len(steps) + 9) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    packed = -1
+    for s in steps:
+        packed -= packed << (8 * width * (s // g))
+    return packed, int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little"), width
+
+
 def multiperiod_sine(spec: MultiGammaSpec) -> PowerProduct:
     """Multi-period sine: gamma(x)^(-1) * (gamma(-|w| - x))^((-1)^r).
 
     |w| is the total period, so -|w| is where the subset-sum roots fold
     onto themselves (the complement map S -> periods \\ S).  Trivial -- the
-    constant 1 -- for every negative integer order.  Computed as in :func:`neg_sine`.
+    constant 1 -- for every negative integer order: the reflection defect of
+    the gamma's exponents across |w|, as in :func:`neg_sine`, is empty iff
+    (-1)^r P equals P with its slots reversed, which is checked on the
+    packed polynomial's bytes where r times its slot count is within
+    :data:`MAX_SUBSET_STEPS`; anything else takes the defect itself.
     """
-    steps = spec.periods.steps
-    return _product(reflection_defect(subset_sum_exponents(steps), sum(steps),
-                                      (-1) ** len(steps)), spec.periods.den)
+    steps, den = spec.periods.steps, spec.periods.den
+    g, sign = math.gcd(*steps), (-1) ** len(steps)
+    slots = sum(steps) // g + 1
+    if len(steps) * slots <= MAX_SUBSET_STEPS:
+        packed, bias, width = _packed(steps, g, slots)
+        # little-endian bytes of sign * P against big-endian ones of P: the
+        # latter hold the slots reversed, each slot's bytes reversed too
+        forward = (sign * packed + bias).to_bytes(slots * width, "little")
+        backward = (packed + bias).to_bytes(slots * width, "big")
+        if all(forward[k::width] == backward[width - 1 - k::width] for k in range(width)):
+            return _product({}, den)
+    return _product(reflection_defect(subset_sum_exponents(steps), sum(steps), sign), den)
 
 
 def tensor_power_fe_check(r: int) -> CheckReport:

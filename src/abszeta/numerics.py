@@ -160,9 +160,10 @@ def _series_limit(r: float, x: float, w, cfg: SeriesSettings, what: str):
     full is its last entry.  Nothing is eliminated before the first estimate, at the third
     checkpoint, so that a non-finite partial sum up to there is reported as such.
 
-    Each estimate is 4 |full - drop| + 1e-13 (1 + max |partial|), drop the previous
-    checkpoint's full.  The sum stops once two consecutive estimates meet the tolerance;
-    at the last checkpoint one is enough.  A ConvergenceError reports an unmet tolerance,
+    Each estimate is 4 |full - drop| plus the rounding floor 1e-13 (1 + max |partial|), drop
+    the previous checkpoint's full.  The sum stops once two consecutive estimates meet the
+    tolerance; at the last checkpoint one is enough.  A ConvergenceError reports an unmet
+    tolerance (saying so when the floor alone exceeds it, which no number of terms lowers),
     a non-finite partial sum, or a term or elimination factor beyond the float range.
     """
     cps = _checkpoints(cfg.max_terms)
@@ -187,16 +188,21 @@ def _series_limit(r: float, x: float, w, cfg: SeriesSettings, what: str):
                     row.append((f * row[i] - previous) / (f - 1.0))
                 diagonal, drop, full, top = row, full, row[-1], max(top, abs(p))
             waiting.clear()
-            est = 4.0 * abs(full - drop) + 1e-13 * (1.0 + top)
+            floor = 1e-13 * (1.0 + top)
+            est = 4.0 * abs(full - drop) + floor
             if est <= cfg.tol and (met or last):
                 return full
             met = est <= cfg.tol
     except (OverflowError, ZeroDivisionError):
         raise ConvergenceError(
             f"{what}: a term or an elimination step left the float range") from None
+    # a cancelling series: more terms leave the rounding floor where it is
+    hint = (f"the rounding floor 1e-13 (1 + max |partial|) = {floor:.2e} alone exceeds it, the "
+            f"largest partial sum being {top:.2e} in magnitude, so raising max_terms cannot "
+            "help; loosen the tolerance" if floor > cfg.tol else
+            "raise max_terms or loosen the tolerance")
     raise ConvergenceError(
-        f"{what}: estimated error {est:.2e} exceeds tolerance {cfg.tol:.2e}; "
-        "raise max_terms or loosen the tolerance")
+        f"{what}: estimated error {est:.2e} exceeds tolerance {cfg.tol:.2e}; {hint}")
 
 
 def _terminating_sum(k: int, x: float, w, cfg: SeriesSettings):

@@ -11,7 +11,8 @@ class Record:
     A subclass lists its stored fields in ``__slots__``, in order, and sets
     them in ``__init__`` (the default takes them all positionally) through
     ``object.__setattr__``.  Equality (within one class), hash, copy and
-    pickle run on the stored fields; assigning or deleting an attribute
+    pickle run on the stored fields; every stored field is immutable, so a
+    deep copy is the record itself.  Assigning or deleting an attribute
     raises AttributeError.  The repr is ``Name(field=value, ...)`` over the
     constructor's fields: ``__match_args__`` where the class names them.
     """
@@ -52,6 +53,9 @@ class Record:
 
     def __reduce__(self):
         return self._restored, self._values()
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class CheckReport(Record):

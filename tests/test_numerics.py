@@ -636,7 +636,9 @@ PINNED = {
         'reach 1.97e+02, above the tolerance 1.00e-09',
     ('vanishing_check', (-10.5, -10, 0.5), 1e-09, 300000):
         'series of order -10.5 at w=(-10+0j), x=0.5: estimated error 1.61e-07 exceeds '
-        'tolerance 1.00e-09; raise max_terms or loosen the tolerance',
+        'tolerance 1.00e-09; the rounding floor 1e-13 (1 + max |partial|) = 1.43e-07 alone '
+        'exceeds it, the largest partial sum being 1.43e+06 in magnitude, so raising '
+        'max_terms cannot help; loosen the tolerance',
     ('zeta_series', (-0.5, 2.0, 1.0), 1e-09, 127):
         'series of order -0.5 at w=(2+0j), x=1.0: too few terms allowed for tail elimination;'
         ' raise max_terms',

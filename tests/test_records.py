@@ -153,7 +153,8 @@ def test_integer_route_equality_builds_no_view(monkeypatch, build, fields):
 
 def test_large_map_value_semantics_build_no_view(monkeypatch):
     """hash, ==, copy, deepcopy and pickle of a fresh 150 000-term map run on its
-    integers: not one Fraction is built, and each copy is an equal map."""
+    integers: not one Fraction is built, each copy is an equal map, and the deep
+    copy is the map itself (its fields are immutable)."""
     terms = 150_000
     a = az.CountingFunction.from_pairs(1, 1, [(k, 1) for k in range(terms - 1, -1, -1)])
     b = az.CountingFunction.from_pairs(1, 1, list(a.pairs))
@@ -162,6 +163,7 @@ def test_large_map_value_semantics_build_no_view(monkeypatch):
     assert a == b and not a != b
     twins = [copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
     assert built == []
+    assert copy.deepcopy(a) is a
     for twin in twins:
         assert type(twin) is az.CountingFunction and twin == a and len(twin.pairs) == terms
 
